@@ -68,6 +68,7 @@ use ds_relation::{PathTuple, Relation};
 pub use ds_fault::{FaultPlan, FaultPoint};
 use protocol::{EdgeChange, SiteDelta, SiteRequest, SiteResponse};
 use site::SiteInit;
+use stats::MachineCounters;
 pub use stats::{MachineStats, SiteStats};
 
 /// Deployment knobs that are about the machine's *operation*, not the
@@ -82,10 +83,11 @@ pub struct MachineOptions {
     /// Deterministic fault plan armed at every site thread. `None` (the
     /// default) reduces the hook to a single branch per message.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Observability bundle: when armed, every batch mints trace ids,
-    /// stamps them through the site protocol, files per-request span
-    /// sets, and mirrors [`MachineStats`] into the metrics registry.
-    /// `None` (the default) reduces every hook to one `Option` branch.
+    /// Observability bundle: when armed, the `machine_*` counters live
+    /// in its registry, and every batch mints trace ids, stamps them
+    /// through the site protocol and files per-request span sets.
+    /// `None` (the default) counts in a private registry and reduces
+    /// every tracing hook to one `Option` branch.
     pub obs: Option<Arc<Observability>>,
 }
 
@@ -126,7 +128,9 @@ pub struct Machine {
     retired: Vec<JoinHandle<()>>,
     options: MachineOptions,
     planner: Arc<Planner>,
-    stats: MachineStats,
+    counters: MachineCounters,
+    /// The per-site breakdown of [`MachineStats`] (not exported).
+    sites: Vec<SiteStats>,
     next_tag: u64,
     /// Coordinator-side scratch kernel for update repair sweeps.
     scratch: ScratchDijkstra,
@@ -204,9 +208,10 @@ impl Machine {
             resp_tx,
             handles,
             retired: Vec::new(),
+            counters: MachineCounters::new(options.obs.as_deref()),
             options,
             planner: parts.planner,
-            stats: MachineStats::new(site_count),
+            sites: vec![SiteStats::default(); site_count],
             next_tag: 0,
             scratch: ScratchDijkstra::new(),
             reach,
@@ -218,9 +223,9 @@ impl Machine {
         self.senders.len()
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &MachineStats {
-        &self.stats
+    /// Accumulated statistics, read from the `machine_*` counters.
+    pub fn stats(&self) -> MachineStats {
+        self.counters.view(&self.sites)
     }
 
     /// Stop all site threads. Called automatically on drop.
@@ -259,7 +264,7 @@ impl Machine {
         self.senders[site] = req_tx;
         self.retired
             .push(std::mem::replace(&mut self.handles[site], handle));
-        self.stats.site_restarts += 1;
+        self.counters.site_restarts.inc();
     }
 
     /// One evaluation round with typed failure: if any site dies (or
@@ -286,7 +291,8 @@ impl Machine {
             ref senders,
             ref responses,
             ref options,
-            ref mut stats,
+            ref counters,
+            ref mut sites,
             ref mut next_tag,
             ..
         } = *self;
@@ -294,7 +300,8 @@ impl Machine {
             senders,
             responses,
             recv_timeout: options.site_recv_timeout,
-            stats,
+            counters,
+            sites,
             next_tag,
             failed: &mut failed,
             current_trace: TraceId::NONE,
@@ -317,26 +324,25 @@ impl Machine {
             for &s in &failed {
                 self.respawn_site(s);
             }
-            self.mirror_stats();
             return Err(ClosureError::SiteUnavailable { site });
         }
-        self.stats.queries += requests.len();
+        self.counters.queries.add(requests.len() as u64);
         if let Some(o) = &obs {
             for (i, req) in requests.iter().enumerate() {
                 let et = &eval_traces[i];
-                let mut spans = vec![SpanRecord {
-                    trace: et.trace,
-                    stage: Stage::Evaluation,
-                    start_ns: batch_start_ns,
-                    dur_ns: et.eval_ns,
-                }];
+                let mut spans = vec![SpanRecord::new(
+                    et.trace,
+                    Stage::Evaluation,
+                    batch_start_ns,
+                    et.eval_ns,
+                )];
                 for c in &et.chains {
-                    spans.push(SpanRecord {
-                        trace: et.trace,
-                        stage: Stage::ChainSegment { chain: c.chain },
-                        start_ns: batch_start_ns,
-                        dur_ns: c.ns,
-                    });
+                    spans.push(SpanRecord::new(
+                        et.trace,
+                        Stage::ChainSegment { chain: c.chain },
+                        batch_start_ns,
+                        c.ns,
+                    ));
                 }
                 spans.extend(site_spans.iter().filter(|s| s.trace == et.trace));
                 o.record_request(RequestTrace {
@@ -354,16 +360,7 @@ impl Machine {
                 });
             }
         }
-        self.mirror_stats();
         Ok(batch)
-    }
-
-    /// Refresh the registry-backed view of [`MachineStats`] (no-op when
-    /// observability is disarmed).
-    fn mirror_stats(&self) {
-        if let Some(o) = &self.options.obs {
-            self.stats.mirror_into(o.registry());
-        }
     }
 
     /// Single-request [`Machine::try_query_batch`].
@@ -425,7 +422,8 @@ struct ChannelEval<'a> {
     senders: &'a [mpsc::Sender<SiteRequest>],
     responses: &'a mpsc::Receiver<SiteResponse>,
     recv_timeout: Duration,
-    stats: &'a mut MachineStats,
+    counters: &'a MachineCounters,
+    sites: &'a mut [SiteStats],
     next_tag: &'a mut u64,
     failed: &'a mut BTreeSet<usize>,
     /// Trace id of the request currently being evaluated (set by
@@ -469,7 +467,7 @@ impl SiteEvaluator for ChannelEval<'_> {
                     self.failed.insert(q.site);
                     break;
                 }
-                self.stats.messages_sent += 1;
+                self.counters.messages_sent.inc();
                 pending.insert(tag, (slot, q.site));
             }
             // Collect phase: the final joins' communication.
@@ -477,12 +475,12 @@ impl SiteEvaluator for ChannelEval<'_> {
                 match self.responses.recv_timeout(self.recv_timeout) {
                     Ok(SiteResponse::SubQuery(resp)) => {
                         let Some((slot, _)) = pending.remove(&resp.tag) else {
-                            self.stats.stale_responses += 1;
+                            self.counters.stale_responses.inc();
                             continue;
                         };
-                        self.stats.messages_received += 1;
-                        self.stats.tuples_shipped += resp.rows.len();
-                        let s = &mut self.stats.sites[resp.site];
+                        self.counters.messages_received.inc();
+                        self.counters.tuples_shipped.add(resp.rows.len() as u64);
+                        let s = &mut self.sites[resp.site];
                         s.subqueries += 1;
                         s.busy += resp.busy;
                         s.tuples_produced += resp.rows.len();
@@ -494,21 +492,21 @@ impl SiteEvaluator for ChannelEval<'_> {
                             if resp.trace.is_traced() {
                                 let busy_ns = resp.busy.as_nanos() as u64;
                                 let now = ctx.tracer.now_ns();
-                                ctx.spans.push(SpanRecord {
-                                    trace: resp.trace,
-                                    stage: Stage::SitePhaseOne {
+                                ctx.spans.push(SpanRecord::new(
+                                    resp.trace,
+                                    Stage::SitePhaseOne {
                                         site: resp.site as u32,
                                     },
-                                    start_ns: now.saturating_sub(busy_ns),
-                                    dur_ns: busy_ns,
-                                });
+                                    now.saturating_sub(busy_ns),
+                                    busy_ns,
+                                ));
                             }
                         }
                         segments[slot] = Some(Relation::from_rows("segment", resp.rows));
                     }
                     Ok(SiteResponse::DeltaApplied { .. }) => {
                         // Late ack from a failed update round.
-                        self.stats.stale_responses += 1;
+                        self.counters.stale_responses.inc();
                     }
                     Err(_) => {
                         // Timed out: every site still owing an answer is
@@ -664,27 +662,27 @@ impl TcEngine for Machine {
                 failed.insert(f);
                 continue;
             }
-            self.stats.update_tuples_shipped += shipped;
-            self.stats.messages_sent += 1;
-            self.stats.update_messages_sent += 1;
+            self.counters.update_tuples_shipped.add(shipped as u64);
+            self.counters.messages_sent.inc();
+            self.counters.update_messages_sent.inc();
             pending.insert(tag, f);
         }
         while !pending.is_empty() {
             match self.responses.recv_timeout(self.options.site_recv_timeout) {
                 Ok(SiteResponse::DeltaApplied { site, tag, busy }) => {
                     let Some(expected) = pending.remove(&tag) else {
-                        self.stats.stale_responses += 1;
+                        self.counters.stale_responses.inc();
                         continue;
                     };
                     debug_assert_eq!(expected, site, "delta ack does not match a shipped delta");
-                    self.stats.messages_received += 1;
-                    let s = &mut self.stats.sites[site];
+                    self.counters.messages_received.inc();
+                    let s = &mut self.sites[site];
                     s.deltas_applied += 1;
                     s.busy += busy;
                 }
                 Ok(SiteResponse::SubQuery(_)) => {
                     // Late answer from a failed query round.
-                    self.stats.stale_responses += 1;
+                    self.counters.stale_responses.inc();
                 }
                 Err(_) => {
                     failed.extend(pending.values().copied());
@@ -692,7 +690,7 @@ impl TcEngine for Machine {
                 }
             }
         }
-        self.stats.updates += 1;
+        self.counters.updates.inc();
         if let Some(&site) = failed.iter().next() {
             // The update IS applied: the coordinator maintained its own
             // state, live sites acked their deltas, and each redeployed
@@ -966,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn armed_observability_traces_batches_and_mirrors_stats() {
+    fn armed_observability_traces_batches_and_counts_in_the_registry() {
         let g = grid(9, 4);
         let frag = linear_sweep(
             &g.edge_list(),
@@ -1013,8 +1011,8 @@ mod tests {
                 .any(|s| matches!(s.stage, Stage::ChainSegment { .. })));
         }
         let snap = obs.snapshot();
-        assert_eq!(snap.gauge("machine_queries"), Some(2));
-        assert!(snap.gauge("machine_messages_sent").unwrap_or(0) > 0);
+        assert_eq!(snap.counter("machine_queries"), Some(2));
+        assert!(snap.counter("machine_messages_sent").unwrap_or(0) > 0);
 
         // Oracle: a disarmed machine answers identically.
         m.shutdown();

@@ -4,6 +4,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use ds_obs::{MetricsRegistry, Observability, ScopedCounter};
+
 /// Per-site counters. All counters accumulate monotonically for the
 /// lifetime of the machine — updates (delta messages) never reset them.
 #[derive(Clone, Debug, Default)]
@@ -18,7 +20,9 @@ pub struct SiteStats {
     pub tuples_produced: usize,
 }
 
-/// Whole-machine counters.
+/// Whole-machine counters: a point-in-time view of the `machine_*`
+/// registry counters plus the per-site breakdown
+/// ([`crate::Machine::stats`]).
 #[derive(Clone, Debug, Default)]
 pub struct MachineStats {
     /// Queries answered by the coordinator.
@@ -64,36 +68,45 @@ impl MachineStats {
         let busies: Vec<Duration> = self.sites.iter().map(|s| s.busy).collect();
         balance_ratio(&busies)
     }
+}
 
-    /// Mirror every counter into `registry` as `machine_*` gauges — the
-    /// registry-backed view of this struct. Gauges (not counters)
-    /// because the struct owns the truth and the registry reflects it;
-    /// called by the coordinator after each batch/update.
-    pub fn mirror_into(&self, registry: &ds_obs::MetricsRegistry) {
-        registry.gauge("machine_queries").set(self.queries as u64);
-        registry.gauge("machine_updates").set(self.updates as u64);
-        registry
-            .gauge("machine_messages_sent")
-            .set(self.messages_sent as u64);
-        registry
-            .gauge("machine_messages_received")
-            .set(self.messages_received as u64);
-        registry
-            .gauge("machine_tuples_shipped")
-            .set(self.tuples_shipped as u64);
-        registry
-            .gauge("machine_update_messages_sent")
-            .set(self.update_messages_sent as u64);
-        registry
-            .gauge("machine_update_tuples_shipped")
-            .set(self.update_tuples_shipped as u64);
-        registry
-            .gauge("machine_site_restarts")
-            .set(self.site_restarts as u64);
-        registry
-            .gauge("machine_stale_responses")
-            .set(self.stale_responses as u64);
-    }
+/// Declares [`MachineCounters`] from the list of [`MachineStats`]
+/// totals, so every total maps to exactly one `machine_<field>`
+/// registry counter.
+macro_rules! machine_counters {
+    ($($field:ident),* $(,)?) => {
+        /// The machine's counter store: one `machine_*` registry counter
+        /// per [`MachineStats`] total, minted once at deploy and bumped
+        /// by the coordinator at the event. The per-site breakdown is
+        /// never exported and stays with the coordinator.
+        pub(crate) struct MachineCounters {
+            $(pub $field: ScopedCounter,)*
+        }
+
+        impl MachineCounters {
+            /// Minted from the armed bundle's registry, or a private one.
+            pub fn new(obs: Option<&Observability>) -> Self {
+                let private = MetricsRegistry::new();
+                let registry = obs.map_or(&private, Observability::registry);
+                MachineCounters {
+                    $($field: registry.scoped_counter(concat!("machine_", stringify!($field))),)*
+                }
+            }
+
+            /// The typed [`MachineStats`] view: these totals plus `sites`.
+            pub fn view(&self, sites: &[SiteStats]) -> MachineStats {
+                MachineStats {
+                    $($field: self.$field.get() as usize,)*
+                    sites: sites.to_vec(),
+                }
+            }
+        }
+    };
+}
+
+machine_counters! {
+    queries, updates, messages_sent, messages_received, tuples_shipped,
+    update_messages_sent, update_tuples_shipped, site_restarts, stale_responses,
 }
 
 impl fmt::Display for MachineStats {
@@ -193,22 +206,5 @@ mod tests {
         assert!(!line.contains("stale"), "stale only shown when non-zero");
         s.stale_responses = 1;
         assert!(s.to_string().contains("1 stale"));
-    }
-
-    #[test]
-    fn mirror_into_reflects_every_counter() {
-        let reg = ds_obs::MetricsRegistry::new();
-        let mut s = MachineStats::new(2);
-        s.queries = 7;
-        s.tuples_shipped = 99;
-        s.mirror_into(&reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.gauge("machine_queries"), Some(7));
-        assert_eq!(snap.gauge("machine_tuples_shipped"), Some(99));
-        assert_eq!(snap.gauge("machine_site_restarts"), Some(0));
-        // Mirroring again after progress overwrites, never accumulates.
-        s.queries = 8;
-        s.mirror_into(&reg);
-        assert_eq!(reg.snapshot().gauge("machine_queries"), Some(8));
     }
 }

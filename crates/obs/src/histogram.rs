@@ -1,14 +1,13 @@
 //! A fixed-bucket latency histogram: power-of-two buckets, O(1) record,
-//! mergeable across workers, quantile read-out for p50/p99 reporting.
+//! quantile read-out for p50/p99 reporting.
 //!
 //! Dependency-free by design (the workspace is offline): 64 geometric
 //! buckets cover the full `u64` nanosecond range with ≤ 50% relative
 //! error per bucket — plenty for serving-latency percentiles, where the
 //! interesting signal is orders of magnitude, not nanoseconds.
 //!
-//! This type started life inside `ds_serve`; it lives here so every
-//! tier (and the [`crate::registry`] atomics) can share one histogram
-//! shape. `ds_serve` re-exports it for compatibility.
+//! Every tier (and the [`crate::registry`] atomics) shares this one
+//! histogram shape; `ds_serve` re-exports it.
 
 /// Histogram over nanosecond samples with power-of-two bucket edges:
 /// bucket `i` holds samples in `[2^i, 2^(i+1))`.
@@ -38,7 +37,7 @@ impl LatencyHistogram {
 
     /// Rebuild a histogram from raw parts (bucket counts plus the exact
     /// aggregates). Used by [`crate::registry::AtomicHistogram`] to
-    /// snapshot its atomics into the plain mergeable form.
+    /// snapshot its atomics into the plain form.
     pub(crate) fn from_parts(buckets: [u64; 64], sum_ns: u64, max_ns: u64) -> Self {
         let count = buckets.iter().sum();
         LatencyHistogram {
@@ -143,14 +142,18 @@ impl LatencyHistogram {
         self.quantile(0.999).round() as u64
     }
 
-    /// Fold another histogram into this one (per-worker → global).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
+    /// The samples recorded after `earlier`, an older snapshot of the
+    /// same histogram. Counts and the sum subtract exactly; the maximum
+    /// is capped at the top edge of the highest bucket that gained
+    /// samples (exact when `earlier` is empty).
+    pub fn since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
+        let buckets: [u64; 64] =
+            std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i]));
+        let max_ns = buckets
+            .iter()
+            .rposition(|&c| c != 0)
+            .map_or(0, |i| self.max_ns.min(((1u128 << (i + 1)) - 1) as u64));
+        Self::from_parts(buckets, self.sum_ns.saturating_sub(earlier.sum_ns), max_ns)
     }
 }
 
@@ -187,26 +190,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut whole = LatencyHistogram::new();
-        for i in 1..200u64 {
-            let ns = i * 977;
-            if i % 2 == 0 {
-                a.record(ns);
-            } else {
-                b.record(ns);
-            }
-            whole.record(ns);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.max_ns(), whole.max_ns());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile_ns(q), whole.quantile_ns(q), "q={q}");
-            assert_eq!(a.quantile(q), whole.quantile(q), "q={q}");
-        }
+    fn since_keeps_only_the_later_samples() {
+        let mut h = LatencyHistogram::new();
+        h.record(1_000_000);
+        let earlier = h.clone();
+        h.record(100);
+        h.record(300);
+        let later = h.since(&earlier);
+        assert_eq!(later.count(), 2);
+        assert_eq!(later.sum_ns(), 400);
+        assert_eq!(later.max_ns(), 511, "capped at the [256, 512) bucket");
+        assert_eq!(h.since(&LatencyHistogram::new()).max_ns(), 1_000_000);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! a metrics registry, request tracing with a slow-query log, and a
 //! workload recorder feeding future re-fragmentation.
 //!
-//! Like `ds_fault`, this crate is std-only and follows the same
-//! arming idiom: each tier carries an `Option<Arc<Observability>>`.
-//! Disarmed (`None`, the production default) every hook is a single
-//! `Option` branch; armed, the hot-path cost is one relaxed atomic op
-//! per metric bump. The three instruments share one [`Observability`]
-//! bundle:
+//! The [`MetricsRegistry`] is always present: each tier mints its
+//! counter handles once at start — from the armed bundle's registry, or
+//! a private one without it — bumps them at the event, and reads its
+//! stats struct back from them, so every value exists exactly once.
+//! Tracing, the slow-query log and the workload recorder stay opt-in,
+//! following the `ds_fault` arming idiom: each tier carries an
+//! `Option<Arc<Observability>>`; disarmed (`None`, the default) each of
+//! those hooks is one `Option` branch. One [`Observability`] bundle
+//! holds:
 //!
 //! * [`MetricsRegistry`] — named lock-free [`Counter`]s, [`Gauge`]s and
 //!   atomic [`LatencyHistogram`]s, exported point-in-time as JSON or
@@ -29,7 +32,9 @@ pub mod trace;
 pub mod workload;
 
 pub use histogram::LatencyHistogram;
-pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};
+pub use registry::{
+    Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot, ScopedCounter,
+};
 pub use trace::{
     ChainEval, EvalTrace, RequestTrace, SlowQueryLog, SpanRecord, Stage, TraceId, TraceOutcome,
     Tracer,
@@ -134,12 +139,6 @@ impl Observability {
         &self.workload
     }
 
-    /// The shared end-to-end request latency histogram
-    /// (`request_latency_ns`).
-    pub fn latency(&self) -> &HistogramHandle {
-        &self.latency
-    }
-
     /// File one finished request: records its latency, runs it past
     /// the slow-query log, and retains the trace in the ring.
     pub fn record_request(&self, trace: RequestTrace) {
@@ -172,12 +171,7 @@ mod tests {
             epoch: 0,
             total_ns: 50_000, // 50us: over the 10us slow threshold
             outcome: TraceOutcome::Answered,
-            spans: vec![SpanRecord {
-                trace: t,
-                stage: Stage::Evaluation,
-                start_ns: 0,
-                dur_ns: 50_000,
-            }],
+            spans: vec![SpanRecord::new(t, Stage::Evaluation, 0, 50_000)],
         });
         assert_eq!(obs.tracer().len(), 1);
         assert_eq!(obs.slow_queries().len(), 1);

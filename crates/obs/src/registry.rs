@@ -2,14 +2,12 @@
 //! histograms, with point-in-time snapshot export as JSON and
 //! Prometheus text exposition.
 //!
-//! The hot-path contract mirrors the `ds_fault` hook idiom: a metric
-//! handle is an `Arc` around one or more atomics, so bumping it is a
-//! single relaxed atomic op; when a tier runs without observability it
-//! carries `Option<Arc<Observability>>::None` and pays one `Option`
-//! branch. Handles are clonable and detachable — a [`Counter`] works
-//! identically whether or not it was minted through a registry, which
-//! lets components keep exact internal stats on the same type they
-//! export.
+//! The registry is every tier's one counter store: a metric handle is
+//! an `Arc` around one or more atomics, so bumping it is a single
+//! relaxed atomic op; tiers mint their handles once at start and read
+//! their stats structs back from them. A [`ScopedCounter`] reads from
+//! its minting, so a component sharing a registry with its
+//! predecessors still reports its own totals.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,6 +45,33 @@ impl Counter {
     }
 }
 
+/// A [`Counter`] handle that reads relative to its value when it was
+/// minted ([`MetricsRegistry::scoped_counter`]): bumps land in the
+/// shared atomic, so the registry sees every event, while
+/// [`ScopedCounter::get`] reports only the events since minting.
+#[derive(Clone, Debug)]
+pub struct ScopedCounter {
+    counter: Counter,
+    base: u64,
+}
+
+impl ScopedCounter {
+    #[inline]
+    pub fn inc(&self) {
+        self.counter.inc();
+    }
+
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.counter.add(n);
+    }
+
+    /// Events counted through any handle since this one was minted.
+    pub fn get(&self) -> u64 {
+        self.counter.get().saturating_sub(self.base)
+    }
+}
+
 /// A point-in-time value (queue depth, current epoch, …). Same cost
 /// model as [`Counter`]; `set` overwrites.
 #[derive(Clone, Debug, Default)]
@@ -72,7 +97,7 @@ impl Gauge {
 /// Concurrent power-of-two-bucket histogram: the atomic twin of
 /// [`LatencyHistogram`]. `record` is three relaxed atomic ops plus a
 /// `fetch_max`; [`HistogramHandle::snapshot`] folds it back into the
-/// plain mergeable form for quantile read-out.
+/// plain form for quantile read-out.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; 64],
@@ -170,6 +195,16 @@ impl MetricsRegistry {
         {
             Metric::Counter(c) => c.clone(),
             _ => Counter::new(),
+        }
+    }
+
+    /// [`Self::counter`], read relative to its current value (see
+    /// [`ScopedCounter`]).
+    pub fn scoped_counter(&self, name: &str) -> ScopedCounter {
+        let counter = self.counter(name);
+        ScopedCounter {
+            base: counter.get(),
+            counter,
         }
     }
 
@@ -354,6 +389,18 @@ mod tests {
         let h = reg.histogram("lat");
         h.record(1000);
         assert_eq!(reg.histogram("lat").snapshot().count(), 1);
+    }
+
+    #[test]
+    fn scoped_counter_reads_from_its_minting() {
+        let reg = MetricsRegistry::new();
+        reg.counter("served").add(5);
+        let scoped = reg.scoped_counter("served");
+        assert_eq!(scoped.get(), 0);
+        scoped.add(2);
+        reg.counter("served").inc();
+        assert_eq!(scoped.get(), 3, "every handle's bumps count");
+        assert_eq!(reg.snapshot().counter("served"), Some(8));
     }
 
     #[test]

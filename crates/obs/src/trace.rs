@@ -99,6 +99,17 @@ pub struct SpanRecord {
     pub dur_ns: u64,
 }
 
+impl SpanRecord {
+    pub fn new(trace: TraceId, stage: Stage, start_ns: u64, dur_ns: u64) -> Self {
+        SpanRecord {
+            trace,
+            stage,
+            start_ns,
+            dur_ns,
+        }
+    }
+}
+
 /// How a traced request ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceOutcome {
@@ -393,18 +404,14 @@ mod tests {
     #[test]
     fn trace_display_lists_spans() {
         let mut t = rt(TraceId(7), 4200);
-        t.spans.push(SpanRecord {
-            trace: TraceId(7),
-            stage: Stage::QueueWait,
-            start_ns: 0,
-            dur_ns: 1000,
-        });
-        t.spans.push(SpanRecord {
-            trace: TraceId(7),
-            stage: Stage::ChainSegment { chain: 2 },
-            start_ns: 1000,
-            dur_ns: 3000,
-        });
+        t.spans
+            .push(SpanRecord::new(TraceId(7), Stage::QueueWait, 0, 1000));
+        t.spans.push(SpanRecord::new(
+            TraceId(7),
+            Stage::ChainSegment { chain: 2 },
+            1000,
+            3000,
+        ));
         let s = t.to_string();
         assert!(s.contains("t7"), "{s}");
         assert!(s.contains("queue-wait=1.0us"), "{s}");
@@ -414,12 +421,8 @@ mod tests {
     #[test]
     fn span_lookup_by_stage() {
         let mut t = rt(TraceId(1), 10);
-        t.spans.push(SpanRecord {
-            trace: TraceId(1),
-            stage: Stage::Evaluation,
-            start_ns: 5,
-            dur_ns: 5,
-        });
+        t.spans
+            .push(SpanRecord::new(TraceId(1), Stage::Evaluation, 5, 5));
         assert!(t.span(Stage::Evaluation).is_some());
         assert!(t.span(Stage::QueueWait).is_none());
     }

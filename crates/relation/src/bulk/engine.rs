@@ -177,10 +177,9 @@ pub struct MaterializeStats {
 
 impl MaterializeStats {
     /// Mirror the run's headline numbers into `registry` as
-    /// `materialize_*` gauges — the registry-backed view of this
-    /// struct, same convention as `MachineStats::mirror_into`. Gauges
-    /// (not counters) because the struct owns the truth: a later run
-    /// overwrites, never accumulates.
+    /// `materialize_*` gauges. Gauges (not counters) because they
+    /// describe the last run: a later run overwrites, never
+    /// accumulates.
     pub fn mirror_into(&self, registry: &ds_obs::MetricsRegistry) {
         registry
             .gauge("materialize_fragments")

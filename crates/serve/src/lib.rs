@@ -94,17 +94,19 @@
 //!   `ClosureError::DurabilityFailed` without applying anything; a
 //!   respawned writer redoes any logged-but-unpublished suffix so the
 //!   live state always reconverges with the durable one.
-//! * **Observability.** [`ServeStats`] reports throughput, p50/p99
-//!   latency from the shared fixed-bucket [`LatencyHistogram`]
-//!   (promoted to `ds_obs`), per-worker busy time and scratch reuse,
-//!   batch amortization and cache hit/miss counters, queue pressure,
-//!   and which backend/strategy built the tables being served. Arming
-//!   [`ServeConfig::obs`] additionally mints a trace id per admitted
-//!   request, files span sets (queue wait, evaluation, per-chain
-//!   segment time, cache/coalesce/reach-index markers) into a trace
-//!   ring and slow-query log, samples query frequencies into the
-//!   workload recorder, and mirrors every counter into the
-//!   `ds_obs::MetricsRegistry` for JSON/Prometheus export.
+//! * **Observability.** Every counter lives once, in a
+//!   `ds_obs::MetricsRegistry` (the armed bundle's, or a private one),
+//!   exported as JSON/Prometheus `serve_*` counters plus the
+//!   `serve_epoch`/`serve_queue_depth` gauges and the
+//!   `request_latency_ns` histogram. [`ServeStats`] is a view over
+//!   them — throughput, p50/p99 latency ([`LatencyHistogram`]), batch
+//!   amortization, cache hit/miss counters, queue pressure — plus
+//!   per-worker busy time and scratch reuse and which backend/strategy
+//!   built the tables being served. Arming [`ServeConfig::obs`] adds a
+//!   trace id per admitted request, span sets (queue wait, evaluation,
+//!   per-chain segment time, cache/coalesce/reach-index markers) in a
+//!   trace ring and slow-query log, and query-frequency samples in the
+//!   workload recorder.
 //!
 //! ```
 //! use ds_closure::{EngineConfig, EngineSnapshot};
@@ -129,13 +131,6 @@
 mod cache;
 mod queue;
 pub mod server;
-
-/// The fixed-bucket latency histogram was promoted to `ds_obs` (where
-/// the whole observability stack shares it); this module keeps the old
-/// `ds_serve::histogram::LatencyHistogram` path working.
-pub mod histogram {
-    pub use ds_obs::LatencyHistogram;
-}
 
 pub use ds_closure::snapshot::EngineSnapshot;
 pub use ds_durability::{recover, DurabilityConfig, DurabilityError, DurableStore, Recovered};

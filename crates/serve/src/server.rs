@@ -19,8 +19,8 @@ use ds_fault::{lock_unpoisoned, FaultPlan, FaultPoint};
 use ds_fragment::FragmentId;
 use ds_graph::{NodeId, ScratchDijkstra, ScratchStats};
 use ds_obs::{
-    Counter, EvalTrace, Gauge, LatencyHistogram, Observability, RequestTrace, SpanRecord, Stage,
-    TraceId, TraceOutcome,
+    EvalTrace, Gauge, HistogramHandle, LatencyHistogram, MetricsRegistry, Observability,
+    RequestTrace, ScopedCounter, SpanRecord, Stage, TraceId, TraceOutcome,
 };
 
 use crate::cache::AnswerCache;
@@ -76,14 +76,14 @@ pub struct ServeConfig {
     /// The hooks are a single `Option` branch when disarmed — the serve
     /// bench's fault-overhead row measures exactly this.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Observability bundle (`ds_obs`). When armed, every admission
-    /// mints a [`TraceId`], workers file per-request span sets (queue
-    /// wait, evaluation, per-chain segment time, cache/coalesce/
-    /// reach-index markers) into the trace ring and slow-query log,
-    /// the hot path samples the workload recorder, and every `ServeStats`
-    /// counter is mirrored into the metrics registry. `None` (the
-    /// default) reduces every hook to one `Option` branch — the serve
-    /// bench's `obs-disarmed` row gates exactly this.
+    /// Observability bundle (`ds_obs`). The server counts in its registry
+    /// when armed (in a private one otherwise; [`ServeStats`] reads them
+    /// back), and arming adds tracing: a [`TraceId`] per admission,
+    /// per-request span sets (queue wait, evaluation, per-chain segment
+    /// time, cache/coalesce/reach-index markers) in the trace ring and
+    /// slow-query log, and workload-recorder samples. `None` (the
+    /// default) reduces every tracing hook to one `Option` branch — the
+    /// serve bench's `obs-disarmed` row gates exactly this.
     pub obs: Option<Arc<Observability>>,
 }
 
@@ -280,8 +280,10 @@ pub struct LatencySummary {
     pub max_us: f64,
 }
 
-/// A point-in-time report of the serving subsystem.
-#[derive(Clone, Debug)]
+/// A point-in-time report of the serving subsystem: a view of the
+/// server's `serve_*` counters and `request_latency_ns` samples since
+/// its start, plus per-worker and queue state that is not exported.
+#[derive(Clone, Debug, Default)]
 pub struct ServeStats {
     /// Reader workers in the pool.
     pub workers: usize,
@@ -339,7 +341,8 @@ pub struct ServeStats {
     pub writer_busy: Duration,
     /// Merged per-worker scratch-kernel reuse counters.
     pub scratch: ScratchStats,
-    /// Request latency (submit → reply) percentiles.
+    /// Request latency (submit → reply) percentiles of the requests the
+    /// workers answered; `connected` fast-path calls are not timed.
     pub latency: LatencySummary,
     /// Which backend's build path produced the tables being served.
     pub backend: &'static str,
@@ -543,38 +546,79 @@ impl Published {
     }
 }
 
+/// Per-worker accounting that is not exported to the registry.
 #[derive(Default)]
 struct WorkerLog {
-    jobs: u64,
-    requests: u64,
-    batches: u64,
-    evaluated: u64,
-    coalesced: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     busy: Duration,
     batch: BatchStats,
-    hist: LatencyHistogram,
     scratch: ScratchStats,
 }
 
-#[derive(Default)]
-struct WriterLog {
-    updates: u64,
-    publications: u64,
-    busy: Duration,
+/// Declares [`Counters`] from the list of [`ServeStats`] totals, so
+/// every total maps to exactly one `serve_<field>` registry counter.
+macro_rules! serve_counters {
+    ($($field:ident),* $(,)?) => {
+        /// The server's counter store: one `serve_*` registry counter per
+        /// [`ServeStats`] total, the exported gauges and the request
+        /// latency histogram — minted once at start from the armed
+        /// bundle's registry (or a private one) and bumped at the event.
+        struct Counters {
+            $($field: ScopedCounter,)*
+            epoch: Gauge,
+            queue_depth: Gauge,
+            /// `request_latency_ns` (also fed by an armed bundle's
+            /// `record_request`), and its state at start.
+            latency: HistogramHandle,
+            latency_base: LatencyHistogram,
+        }
+
+        impl Counters {
+            fn new(obs: Option<&Observability>) -> Self {
+                let private = MetricsRegistry::new();
+                let registry = obs.map_or(&private, Observability::registry);
+                let latency = registry.histogram("request_latency_ns");
+                Counters {
+                    $($field: registry.scoped_counter(concat!("serve_", stringify!($field))),)*
+                    epoch: registry.gauge("serve_epoch"),
+                    queue_depth: registry.gauge("serve_queue_depth"),
+                    latency_base: latency.snapshot(),
+                    latency,
+                }
+            }
+
+            /// `rest` with every total and the latency summary read back
+            /// from the registry.
+            fn view(&self, rest: ServeStats) -> ServeStats {
+                let hist = self.latency.snapshot().since(&self.latency_base);
+                let latency = LatencySummary {
+                    count: hist.count(),
+                    mean_us: hist.mean_ns() / 1e3,
+                    p50_us: hist.quantile_ns(0.5) as f64 / 1e3,
+                    p99_us: hist.quantile_ns(0.99) as f64 / 1e3,
+                    max_us: hist.max_ns() as f64 / 1e3,
+                };
+                ServeStats { $($field: self.$field.get(),)* latency, ..rest }
+            }
+        }
+    };
+}
+
+serve_counters! {
+    requests, jobs, batches, evaluated, coalesced, cache_hits, cache_misses,
+    reach_fast_path, queue_rejections, deadline_shed, deadline_cancelled,
+    worker_restarts, writer_restarts, updates, publications, wal_records,
+    wal_commits, wal_failures, checkpoints,
 }
 
 struct Shared {
     queue: BoundedQueue<QueryJob>,
     published: Published,
-    /// `connected` calls the reachability index answered directly.
-    reach_fast_path: AtomicU64,
     /// The per-epoch answer cache, shared by every worker; `None` when
     /// disabled by [`ServeConfig::answer_cache`].
     cache: Option<AnswerCache>,
     worker_logs: Vec<Mutex<WorkerLog>>,
-    writer_log: Mutex<WriterLog>,
+    /// Writer-thread time spent on maintenance + publication.
+    writer_busy: Mutex<Duration>,
     batch_max: usize,
     retry_after: Duration,
     /// See [`ServeConfig::deadline`].
@@ -592,90 +636,15 @@ struct Shared {
     /// so the live state reconverges with what [`ds_durability::recover`]
     /// would rebuild.
     published_lsn: AtomicU64,
-    /// Records appended to the WAL.
-    wal_records: AtomicU64,
-    /// WAL group commits (one fsync each).
-    wal_commits: AtomicU64,
-    /// Failed WAL appends/syncs and failed checkpoint writes.
-    wal_failures: AtomicU64,
-    /// Checkpoints durably written.
-    checkpoints: AtomicU64,
-    /// Workers respawned after a panic.
-    worker_restarts: AtomicU64,
-    /// Writers respawned after a panic (working copy rebuilt from the
-    /// last published snapshot).
-    writer_restarts: AtomicU64,
-    /// Jobs shed past their deadline.
-    deadline_shed: AtomicU64,
-    /// Requests abandoned mid-evaluation at a deadline check inside the
-    /// chain loop.
-    deadline_cancelled: AtomicU64,
     /// Set when the writer is *permanently* down: read-only degraded
     /// mode. A writer panic respawns and never sets this; only an
     /// injected non-unwind failure (`FaultAction::Fail`) does.
     degraded: AtomicBool,
-    /// Armed observability plus pre-created metric handles (`None` =
-    /// disarmed: every hook is one `Option` branch).
-    obs: Option<ObsHandles>,
+    counters: Counters,
+    /// Armed tracing, slow-query log and workload recorder (`None` =
+    /// disarmed: every tracing hook is one `Option` branch).
+    obs: Option<Arc<Observability>>,
     started: Instant,
-}
-
-/// The armed observability bundle with its metric handles created once
-/// at server start, so the hot path pays one relaxed atomic op per
-/// event and never touches the registry lock.
-struct ObsHandles {
-    obs: Arc<Observability>,
-    requests: Counter,
-    jobs: Counter,
-    batches: Counter,
-    evaluated: Counter,
-    coalesced: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    reach_fast_path: Counter,
-    queue_rejections: Counter,
-    deadline_shed: Counter,
-    worker_restarts: Counter,
-    writer_restarts: Counter,
-    updates: Counter,
-    publications: Counter,
-    deadline_cancelled: Counter,
-    wal_records: Counter,
-    wal_commits: Counter,
-    wal_failures: Counter,
-    checkpoints: Counter,
-    epoch: Gauge,
-    queue_depth: Gauge,
-}
-
-impl ObsHandles {
-    fn new(obs: Arc<Observability>) -> Self {
-        let r = obs.registry();
-        ObsHandles {
-            requests: r.counter("serve_requests"),
-            jobs: r.counter("serve_jobs"),
-            batches: r.counter("serve_batches"),
-            evaluated: r.counter("serve_evaluated"),
-            coalesced: r.counter("serve_coalesced"),
-            cache_hits: r.counter("serve_cache_hits"),
-            cache_misses: r.counter("serve_cache_misses"),
-            reach_fast_path: r.counter("serve_reach_fast_path"),
-            queue_rejections: r.counter("serve_queue_rejections"),
-            deadline_shed: r.counter("serve_deadline_shed"),
-            worker_restarts: r.counter("serve_worker_restarts"),
-            writer_restarts: r.counter("serve_writer_restarts"),
-            updates: r.counter("serve_updates"),
-            publications: r.counter("serve_publications"),
-            deadline_cancelled: r.counter("serve_deadline_cancelled"),
-            wal_records: r.counter("serve_wal_records"),
-            wal_commits: r.counter("serve_wal_commits"),
-            wal_failures: r.counter("serve_wal_failures"),
-            checkpoints: r.counter("serve_checkpoints"),
-            epoch: r.gauge("serve_epoch"),
-            queue_depth: r.gauge("serve_queue_depth"),
-            obs,
-        }
-    }
 }
 
 /// A running query-serving subsystem over one engine snapshot lineage.
@@ -731,17 +700,18 @@ impl Server {
         let initial_lsn = store.as_ref().map_or(0, DurableStore::last_lsn);
         let workers = config.workers.max(1);
         let initial = Arc::new(snapshot);
+        let counters = Counters::new(config.obs.as_deref());
+        counters.epoch.set(epoch);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity.max(workers)),
             published: Published::new(epoch, initial),
-            reach_fast_path: AtomicU64::new(0),
             cache: config
                 .answer_cache
                 .then(|| AnswerCache::new(config.answer_cache_entries)),
             worker_logs: (0..workers)
                 .map(|_| Mutex::new(WorkerLog::default()))
                 .collect(),
-            writer_log: Mutex::new(WriterLog::default()),
+            writer_busy: Mutex::new(Duration::ZERO),
             batch_max: config.batch_max.max(1),
             retry_after: config.retry_after,
             deadline: config.deadline,
@@ -749,16 +719,9 @@ impl Server {
             fault: config.fault.clone(),
             store: store.map(Mutex::new),
             published_lsn: AtomicU64::new(initial_lsn),
-            wal_records: AtomicU64::new(0),
-            wal_commits: AtomicU64::new(0),
-            wal_failures: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            writer_restarts: AtomicU64::new(0),
-            deadline_shed: AtomicU64::new(0),
-            deadline_cancelled: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
-            obs: config.obs.clone().map(ObsHandles::new),
+            counters,
+            obs: config.obs.clone(),
             started: Instant::now(),
         });
         let mut handles = Vec::with_capacity(workers + 1);
@@ -795,12 +758,7 @@ impl Server {
                     }));
                     match outcome {
                         Ok(()) => return,
-                        Err(_) => {
-                            shared.writer_restarts.fetch_add(1, Ordering::SeqCst);
-                            if let Some(h) = &shared.obs {
-                                h.writer_restarts.inc();
-                            }
-                        }
+                        Err(_) => shared.counters.writer_restarts.inc(),
                     }
                 }
             }));
@@ -839,14 +797,15 @@ impl Server {
         let (epoch, snap) = self.shared.published.current();
         if let Some(reach) = snap.reach_index() {
             if x.index() < reach.node_count() && y.index() < reach.node_count() {
-                self.shared.reach_fast_path.fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.reach_fast_path.inc();
                 let connected = reach.reaches(x, y);
-                if let Some(h) = &self.shared.obs {
-                    h.reach_fast_path.inc();
-                    let tracer = h.obs.tracer();
+                if let Some(o) = &self.shared.obs {
+                    // Traced but not timed: the fast path files no
+                    // latency sample (see `ServeStats::latency`).
+                    let tracer = o.tracer();
                     let trace = tracer.mint();
                     let now = tracer.now_ns();
-                    h.obs.record_request(RequestTrace {
+                    tracer.finish(RequestTrace {
                         trace,
                         source: x.index() as u64,
                         target: y.index() as u64,
@@ -857,14 +816,9 @@ impl Server {
                         } else {
                             TraceOutcome::Unreachable
                         },
-                        spans: vec![SpanRecord {
-                            trace,
-                            stage: Stage::ReachIndex,
-                            start_ns: now,
-                            dur_ns: 0,
-                        }],
+                        spans: vec![SpanRecord::new(trace, Stage::ReachIndex, now, 0)],
                     });
-                    let w = h.obs.workload();
+                    let w = o.workload();
                     if w.should_sample() {
                         w.record_vertex_pair(x.index() as u64, y.index() as u64);
                     }
@@ -892,7 +846,7 @@ impl Server {
             return Ok(PendingBatch { rx });
         }
         let traces: Vec<TraceId> = match &self.shared.obs {
-            Some(h) => requests.iter().map(|_| h.obs.tracer().mint()).collect(),
+            Some(o) => requests.iter().map(|_| o.tracer().mint()).collect(),
             None => Vec::new(),
         };
         let job = QueryJob {
@@ -904,14 +858,14 @@ impl Server {
         match self.shared.queue.try_push(job) {
             Ok(()) => Ok(PendingBatch { rx }),
             Err(PushError::Full(job)) => {
-                if let Some(h) = &self.shared.obs {
-                    h.queue_rejections.inc();
+                self.shared.counters.queue_rejections.inc();
+                if let Some(o) = &self.shared.obs {
                     // Shed admissions still close their traces (outcome
                     // only — nothing ran, so there are no spans and no
                     // latency sample).
                     let epoch = self.epoch();
                     for (r, &trace) in job.requests.iter().zip(&job.traces) {
-                        h.obs.tracer().finish(RequestTrace {
+                        o.tracer().finish(RequestTrace {
                             trace,
                             source: r.source.index() as u64,
                             target: r.target.index() as u64,
@@ -1020,8 +974,8 @@ impl Server {
                 // The update died with the writer; leave a Failed trace
                 // so the loss is visible in the ring, not just the
                 // caller's error.
-                if let Some(h) = &self.shared.obs {
-                    let tracer = h.obs.tracer();
+                if let Some(o) = &self.shared.obs {
+                    let tracer = o.tracer();
                     tracer.finish(RequestTrace {
                         trace: tracer.mint(),
                         source: 0,
@@ -1055,70 +1009,26 @@ impl Server {
     /// Aggregate serving statistics up to now.
     pub fn stats(&self) -> ServeStats {
         let (epoch, snap) = self.shared.published.current();
-        let mut stats = ServeStats {
+        let mut stats = self.shared.counters.view(ServeStats {
             workers: self.shared.worker_logs.len(),
             epoch,
-            updates: 0,
-            publications: 0,
-            jobs: 0,
-            requests: 0,
-            batches: 0,
-            evaluated: 0,
-            coalesced: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            reach_fast_path: self.shared.reach_fast_path.load(Ordering::Relaxed),
             reach_index_fresh: snap.reach_index().is_some(),
-            batch: BatchStats::default(),
             queue_depth: self.shared.queue.depth(),
             queue_high_water: self.shared.queue.high_water(),
             queue_capacity: self.shared.queue.capacity(),
-            queue_rejections: self.shared.queue.rejections(),
             elapsed: self.shared.started.elapsed(),
-            busy: Vec::with_capacity(self.shared.worker_logs.len()),
-            writer_busy: Duration::ZERO,
-            scratch: ScratchStats::default(),
-            latency: LatencySummary::default(),
+            writer_busy: *lock_unpoisoned(&self.shared.writer_busy),
             backend: snap.source_backend(),
             strategy: snap.precompute_stats().strategy,
-            worker_restarts: self.shared.worker_restarts.load(Ordering::SeqCst),
-            writer_restarts: self.shared.writer_restarts.load(Ordering::SeqCst),
-            deadline_shed: self.shared.deadline_shed.load(Ordering::SeqCst),
-            deadline_cancelled: self.shared.deadline_cancelled.load(Ordering::SeqCst),
-            wal_records: self.shared.wal_records.load(Ordering::SeqCst),
-            wal_commits: self.shared.wal_commits.load(Ordering::SeqCst),
-            wal_failures: self.shared.wal_failures.load(Ordering::SeqCst),
-            checkpoints: self.shared.checkpoints.load(Ordering::SeqCst),
             degraded: self.shared.degraded.load(Ordering::SeqCst),
-        };
-        let mut hist = LatencyHistogram::new();
+            ..ServeStats::default()
+        });
         for log in &self.shared.worker_logs {
             let log = lock_unpoisoned(log);
-            stats.jobs += log.jobs;
-            stats.requests += log.requests;
-            stats.batches += log.batches;
-            stats.evaluated += log.evaluated;
-            stats.coalesced += log.coalesced;
-            stats.cache_hits += log.cache_hits;
-            stats.cache_misses += log.cache_misses;
             stats.busy.push(log.busy);
             stats.scratch.merge(log.scratch);
             add_batch_stats(&mut stats.batch, &log.batch);
-            hist.merge(&log.hist);
         }
-        {
-            let w = lock_unpoisoned(&self.shared.writer_log);
-            stats.updates = w.updates;
-            stats.publications = w.publications;
-            stats.writer_busy = w.busy;
-        }
-        stats.latency = LatencySummary {
-            count: hist.count(),
-            mean_us: hist.mean_ns() / 1e3,
-            p50_us: hist.quantile_ns(0.5) as f64 / 1e3,
-            p99_us: hist.quantile_ns(0.99) as f64 / 1e3,
-            max_us: hist.max_ns() as f64 / 1e3,
-        };
         stats
     }
 
@@ -1194,12 +1104,7 @@ fn supervised_worker(shared: &Shared, id: usize) {
     loop {
         match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, id))) {
             Ok(()) => return, // queue closed and drained: clean exit
-            Err(_) => {
-                shared.worker_restarts.fetch_add(1, Ordering::SeqCst);
-                if let Some(h) = &shared.obs {
-                    h.worker_restarts.inc();
-                }
-            }
+            Err(_) => shared.counters.worker_restarts.inc(),
         }
     }
 }
@@ -1238,10 +1143,9 @@ fn worker_loop(shared: &Shared, id: usize) {
                 for job in jobs {
                     let waited = job.submitted.elapsed();
                     if waited > deadline {
-                        shared.deadline_shed.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.deadline_shed.inc();
-                            close_failed_traces(h, &job, Some(waited));
+                        shared.counters.deadline_shed.inc();
+                        if let Some(o) = &shared.obs {
+                            close_failed_traces(o, &job, Some(waited));
                         }
                         let _ = job
                             .reply
@@ -1274,8 +1178,8 @@ fn worker_loop(shared: &Shared, id: usize) {
             Ok(false) => {}
             failed => {
                 for job in &jobs {
-                    if let Some(h) = &shared.obs {
-                        close_failed_traces(h, job, None);
+                    if let Some(o) = &shared.obs {
+                        close_failed_traces(o, job, None);
                     }
                     let _ = job.reply.send(Err(ClosureError::WorkerFailed));
                 }
@@ -1283,10 +1187,7 @@ fn worker_loop(shared: &Shared, id: usize) {
                 scratch = ScratchDijkstra::new();
                 cached = None;
                 if failed.is_err() {
-                    shared.worker_restarts.fetch_add(1, Ordering::SeqCst);
-                    if let Some(h) = &shared.obs {
-                        h.worker_restarts.inc();
-                    }
+                    shared.counters.worker_restarts.inc();
                 }
             }
         }
@@ -1296,17 +1197,17 @@ fn worker_loop(shared: &Shared, id: usize) {
 /// Close every trace of a job that resolved to a typed failure instead
 /// of an answer (deadline shed when `waited` is given, worker panic
 /// otherwise). Outcome-only: failed requests leave no latency sample.
-fn close_failed_traces(h: &ObsHandles, job: &QueryJob, waited: Option<Duration>) {
-    let tracer = h.obs.tracer();
+fn close_failed_traces(obs: &Observability, job: &QueryJob, waited: Option<Duration>) {
+    let tracer = obs.tracer();
     for (r, &trace) in job.requests.iter().zip(&job.traces) {
         let wait_ns = waited.map_or(0, |w| w.as_nanos() as u64);
         let spans = match waited {
-            Some(_) => vec![SpanRecord {
+            Some(_) => vec![SpanRecord::new(
                 trace,
-                stage: Stage::QueueWait,
-                start_ns: tracer.now_ns().saturating_sub(wait_ns),
-                dur_ns: wait_ns,
-            }],
+                Stage::QueueWait,
+                tracer.now_ns().saturating_sub(wait_ns),
+                wait_ns,
+            )],
             None => Vec::new(),
         };
         tracer.finish(RequestTrace {
@@ -1333,17 +1234,9 @@ fn process_batch(
     cached: &mut Option<(u64, Arc<EngineSnapshot>)>,
 ) {
     let t0 = Instant::now();
-    let obs = shared.obs.as_ref();
-    // Tracing context: the batch start on the tracer clock, and each
-    // job's queue wait (admission → drain) — the QueueWait span.
-    let batch_start_ns = obs.map_or(0, |h| h.obs.tracer().now_ns());
-    let waits: Vec<u64> = match obs {
-        Some(_) => jobs
-            .iter()
-            .map(|j| j.submitted.elapsed().as_nanos() as u64)
-            .collect(),
-        None => Vec::new(),
-    };
+    let obs = shared.obs.as_deref();
+    // Tracing context: the batch start on the tracer clock.
+    let batch_start_ns = obs.map_or(0, |o| o.tracer().now_ns());
     let (epoch, snap) = {
         let pair = shared.published.pin(cached);
         (pair.0, &pair.1)
@@ -1418,12 +1311,6 @@ fn process_batch(
     } else {
         0
     };
-    // Which slots the cache answered (set before evaluation fills the
-    // rest) — those requests get a `CacheHit` span.
-    let cached_slots: Vec<bool> = match obs {
-        Some(_) => answers_by_slot.iter().map(Option::is_some).collect(),
-        None => Vec::new(),
-    };
 
     // Group the remaining misses by fragment pair. The sharing itself
     // is order-independent (the batch kernel caches chain plans per
@@ -1437,8 +1324,8 @@ fn process_batch(
     // hot duplicates are exactly the signal), one vertex pair and one
     // fragment pair each. `should_sample` is a single relaxed
     // fetch_add.
-    if let Some(h) = obs {
-        let w = h.obs.workload();
+    if let Some(o) = obs {
+        let w = o.workload();
         for job in jobs {
             for r in &job.requests {
                 if w.should_sample() {
@@ -1470,7 +1357,8 @@ fn process_batch(
         .collect();
 
     // `eval_traces[j]` carries the per-chain timing of `sorted[j]`;
-    // `slot_eval` maps a distinct slot back to that index.
+    // `slot_eval` maps a distinct slot back to that index (`None`: the
+    // cache answered the slot).
     let mut eval_traces: Vec<EvalTrace> = Vec::new();
     let mut slot_eval: Vec<Option<u32>> = match obs {
         Some(_) => vec![None; distinct.len()],
@@ -1525,105 +1413,86 @@ fn process_batch(
     };
     let busy = t0.elapsed();
 
-    // Log before fanning out: a blocking client that reads `stats()`
+    // Count before fanning out: a blocking client that reads `stats()`
     // right after its reply must already see this batch accounted for.
-    // Latency is submit → reply (well, the instant before the send),
-    // recorded per request so percentiles weight by traffic.
+    let counters = &shared.counters;
+    counters.jobs.add(jobs.len() as u64);
+    counters.requests.add(total_requests as u64);
+    counters.batches.inc();
+    counters.evaluated.add(sorted.len() as u64);
+    counters.coalesced.add(coalesced);
+    counters.cache_hits.add(cache_hits);
+    counters.cache_misses.add(cache_misses);
+    counters.queue_depth.set(shared.queue.depth() as u64);
     {
         let mut log = lock_unpoisoned(&shared.worker_logs[id]);
-        log.jobs += jobs.len() as u64;
-        log.requests += total_requests as u64;
-        log.batches += 1;
-        log.evaluated += sorted.len() as u64;
-        log.coalesced += coalesced;
-        log.cache_hits += cache_hits;
-        log.cache_misses += cache_misses;
         log.busy += busy;
         add_batch_stats(&mut log.batch, &batch_stats);
-        for (job, js) in jobs.iter().zip(&slots) {
-            let ns = job.submitted.elapsed().as_nanos() as u64;
-            for _ in 0..js.len() {
-                log.hist.record(ns);
-            }
-        }
         log.scratch = scratch.stats();
     }
 
-    // Registry mirror + per-request trace assembly (armed only; the
-    // whole block is one `Option` branch when disarmed). Runs before
-    // the fan-out for the same reason the log does: a client that
-    // inspects the trace ring right after its reply sees its own trace.
-    if let Some(h) = obs {
-        h.jobs.add(jobs.len() as u64);
-        h.requests.add(total_requests as u64);
-        h.batches.inc();
-        h.evaluated.add(sorted.len() as u64);
-        h.coalesced.add(coalesced);
-        h.cache_hits.add(cache_hits);
-        h.cache_misses.add(cache_misses);
-        h.queue_depth.set(shared.queue.depth() as u64);
-        for (ji, (job, js)) in jobs.iter().zip(&slots).enumerate() {
-            for (ri, &slot) in js.iter().enumerate() {
-                let slot = slot as usize;
-                let trace = job.traces.get(ri).copied().unwrap_or(TraceId::NONE);
-                let r = &job.requests[ri];
-                let wait_ns = waits[ji];
-                let mut spans = vec![SpanRecord {
-                    trace,
-                    stage: Stage::QueueWait,
-                    start_ns: batch_start_ns.saturating_sub(wait_ns),
-                    dur_ns: wait_ns,
-                }];
-                if cached_slots[slot] {
-                    spans.push(SpanRecord {
-                        trace,
-                        stage: Stage::CacheHit,
-                        start_ns: batch_start_ns,
-                        dur_ns: 0,
-                    });
-                } else if distinct_traces[slot] == trace {
-                    // The slot's primary request carries the evaluation
-                    // and per-chain segment spans.
-                    if let Some(j) = slot_eval[slot] {
-                        let et = &eval_traces[j as usize];
-                        spans.push(SpanRecord {
-                            trace,
-                            stage: Stage::Evaluation,
-                            start_ns: batch_start_ns,
-                            dur_ns: et.eval_ns,
-                        });
-                        for c in &et.chains {
-                            spans.push(SpanRecord {
-                                trace,
-                                stage: Stage::ChainSegment { chain: c.chain },
-                                start_ns: batch_start_ns,
-                                dur_ns: c.ns,
-                            });
-                        }
-                    }
-                } else {
-                    spans.push(SpanRecord {
-                        trace,
-                        stage: Stage::Coalesced,
-                        start_ns: batch_start_ns,
-                        dur_ns: 0,
-                    });
-                }
-                h.obs.record_request(RequestTrace {
-                    trace,
-                    source: r.source.index() as u64,
-                    target: r.target.index() as u64,
-                    epoch,
-                    total_ns: job.submitted.elapsed().as_nanos() as u64,
-                    outcome: match &answers_by_slot[slot] {
-                        Some(a) if a.cost.is_some() => TraceOutcome::Answered,
-                        Some(_) => TraceOutcome::Unreachable,
-                        // Cancelled mid-evaluation at the deadline.
-                        None => TraceOutcome::Shed,
-                    },
-                    spans,
-                });
+    // Latency is submit → reply (well, the instant before the send),
+    // one sample per request so percentiles weight by traffic. Armed,
+    // the sample is filed with the request's trace — also before the
+    // fan-out, so a client that inspects the trace ring right after
+    // its reply sees its own trace.
+    for (job, js) in jobs.iter().zip(&slots) {
+        let total_ns = job.submitted.elapsed().as_nanos() as u64;
+        let Some(o) = obs else {
+            for _ in js {
+                counters.latency.record(total_ns);
             }
+            continue;
+        };
+        // Queue wait: admission → drain.
+        let wait_ns = t0.saturating_duration_since(job.submitted).as_nanos() as u64;
+        for (ri, &slot) in js.iter().enumerate() {
+            let slot = slot as usize;
+            let trace = job.traces.get(ri).copied().unwrap_or(TraceId::NONE);
+            let r = &job.requests[ri];
+            let mut spans = vec![SpanRecord::new(
+                trace,
+                Stage::QueueWait,
+                batch_start_ns.saturating_sub(wait_ns),
+                wait_ns,
+            )];
+            match slot_eval[slot] {
+                None => spans.push(SpanRecord::new(trace, Stage::CacheHit, batch_start_ns, 0)),
+                // The slot's primary request carries the evaluation and
+                // per-chain segment spans.
+                Some(j) if distinct_traces[slot] == trace => {
+                    let et = &eval_traces[j as usize];
+                    spans.push(SpanRecord::new(
+                        trace,
+                        Stage::Evaluation,
+                        batch_start_ns,
+                        et.eval_ns,
+                    ));
+                    for c in &et.chains {
+                        spans.push(SpanRecord::new(
+                            trace,
+                            Stage::ChainSegment { chain: c.chain },
+                            batch_start_ns,
+                            c.ns,
+                        ));
+                    }
+                }
+                Some(_) => spans.push(SpanRecord::new(trace, Stage::Coalesced, batch_start_ns, 0)),
+            }
+            o.record_request(RequestTrace {
+                trace,
+                source: r.source.index() as u64,
+                target: r.target.index() as u64,
+                epoch,
+                total_ns,
+                outcome: match &answers_by_slot[slot] {
+                    Some(a) if a.cost.is_some() => TraceOutcome::Answered,
+                    Some(_) => TraceOutcome::Unreachable,
+                    // Cancelled mid-evaluation at the deadline.
+                    None => TraceOutcome::Shed,
+                },
+                spans,
+            });
         }
     }
 
@@ -1637,10 +1506,7 @@ fn process_batch(
             .any(|&slot| answers_by_slot[slot as usize].is_none())
         {
             let waited = job.submitted.elapsed();
-            shared.deadline_cancelled.fetch_add(1, Ordering::SeqCst);
-            if let Some(h) = obs {
-                h.deadline_cancelled.inc();
-            }
+            counters.deadline_cancelled.inc();
             let _ = job
                 .reply
                 .send(Err(ClosureError::DeadlineExceeded { waited }));
@@ -1710,19 +1576,12 @@ fn writer_loop(
                 match store.append_batch(epoch, &updates) {
                     Ok(first) => {
                         let n = updates.len() as u64;
-                        shared.wal_records.fetch_add(n, Ordering::SeqCst);
-                        shared.wal_commits.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.wal_records.add(n);
-                            h.wal_commits.inc();
-                        }
+                        shared.counters.wal_records.add(n);
+                        shared.counters.wal_commits.inc();
                         Some(first + n - 1)
                     }
                     Err(_) => {
-                        shared.wal_failures.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.wal_failures.inc();
-                        }
+                        shared.counters.wal_failures.inc();
                         for job in jobs {
                             let _ = job.reply.send(Err(ClosureError::DurabilityFailed));
                         }
@@ -1772,6 +1631,7 @@ fn writer_loop(
             // are keyed by epoch and lazily cleared on first contact
             // with the new one.
             shared.published.publish(epoch, Arc::new(working.clone()));
+            shared.counters.epoch.set(epoch);
         }
         if let Some(last) = wal_range {
             // The published state now reflects every logged record up to
@@ -1781,21 +1641,15 @@ fn writer_loop(
             shared.published_lsn.store(last, Ordering::SeqCst);
         }
         let busy = t0.elapsed();
-        {
-            let mut log = lock_unpoisoned(&shared.writer_log);
-            log.updates += applied;
-            log.publications += (applied > 0) as u64;
-            log.busy += busy;
-        }
-        if let Some(h) = &shared.obs {
-            h.updates.add(applied);
-            h.publications.add((applied > 0) as u64);
-            h.epoch.set(epoch);
+        *lock_unpoisoned(&shared.writer_busy) += busy;
+        shared.counters.updates.add(applied);
+        shared.counters.publications.add((applied > 0) as u64);
+        if let Some(o) = &shared.obs {
             if applied > 0 {
                 // One writer trace per publication: maintenance and
                 // publication spans land in the trace ring (never in the
                 // request latency histogram — that is reads only).
-                let tracer = h.obs.tracer();
+                let tracer = o.tracer();
                 let trace = tracer.mint();
                 let publish_ns = publish_t.elapsed().as_nanos() as u64;
                 let end_ns = tracer.now_ns();
@@ -1807,18 +1661,18 @@ fn writer_loop(
                     total_ns: busy.as_nanos() as u64,
                     outcome: TraceOutcome::Applied,
                     spans: vec![
-                        SpanRecord {
+                        SpanRecord::new(
                             trace,
-                            stage: Stage::WriterApply,
-                            start_ns: end_ns.saturating_sub(apply_ns + publish_ns),
-                            dur_ns: apply_ns,
-                        },
-                        SpanRecord {
+                            Stage::WriterApply,
+                            end_ns.saturating_sub(apply_ns + publish_ns),
+                            apply_ns,
+                        ),
+                        SpanRecord::new(
                             trace,
-                            stage: Stage::Publication,
-                            start_ns: end_ns.saturating_sub(publish_ns),
-                            dur_ns: publish_ns,
-                        },
+                            Stage::Publication,
+                            end_ns.saturating_sub(publish_ns),
+                            publish_ns,
+                        ),
                     ],
                 });
             }
@@ -1835,18 +1689,8 @@ fn writer_loop(
             let mut store = lock_unpoisoned(store);
             if store.should_checkpoint() {
                 match store.checkpoint(&working, epoch) {
-                    Ok(()) => {
-                        shared.checkpoints.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.checkpoints.inc();
-                        }
-                    }
-                    Err(_) => {
-                        shared.wal_failures.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.wal_failures.inc();
-                        }
-                    }
+                    Ok(()) => shared.counters.checkpoints.inc(),
+                    Err(_) => shared.counters.wal_failures.inc(),
                 }
             }
         }
@@ -1868,7 +1712,7 @@ fn redo_wal_suffix(shared: &Shared) {
     let suffix = match store.read_suffix(after) {
         Ok(suffix) => suffix,
         Err(_) => {
-            shared.wal_failures.fetch_add(1, Ordering::SeqCst);
+            shared.counters.wal_failures.inc();
             return;
         }
     };
@@ -1895,9 +1739,9 @@ fn redo_wal_suffix(shared: &Shared) {
     if applied > 0 {
         working.ensure_reach();
         shared.published.publish(epoch, Arc::new(working));
+        shared.counters.epoch.set(epoch);
     }
     shared.published_lsn.store(last, Ordering::SeqCst);
-    let mut log = lock_unpoisoned(&shared.writer_log);
-    log.updates += applied;
-    log.publications += (applied > 0) as u64;
+    shared.counters.updates.add(applied);
+    shared.counters.publications.add((applied > 0) as u64);
 }

@@ -239,11 +239,12 @@ impl SystemBuilder {
     /// Arm an observability bundle (`ds_obs`): one shared metrics
     /// registry, request tracer, slow-query log and workload recorder
     /// across every tier this system touches. The machine backend (if
-    /// chosen) traces and mirrors immediately; [`System::serve`] /
+    /// chosen) counts and traces in it immediately; [`System::serve`] /
     /// [`System::serve_with`] and [`System::materialize_with`] inherit
     /// the bundle unless their config carries its own. Read the
-    /// aggregate through [`System::observe`]. Disarmed (the default)
-    /// costs one `Option` branch per hook.
+    /// aggregate through [`System::observe`]. Disarmed (the default),
+    /// each tier counts in a private registry and every tracing hook
+    /// costs one `Option` branch.
     pub fn observability(mut self, obs: Arc<Observability>) -> Self {
         self.obs = Some(obs);
         self
@@ -494,9 +495,10 @@ impl System {
     }
 
     /// A point-in-time snapshot of every metric the system's
-    /// observability bundle has accumulated — machine-tier gauges,
-    /// serve-tier counters and the request latency histogram, plus
-    /// anything custom registered on the same bundle. Returns an empty
+    /// observability bundle has accumulated — machine- and serve-tier
+    /// counters, the serve epoch/queue-depth and materialize gauges,
+    /// and the request latency histogram, plus anything custom
+    /// registered on the same bundle. Returns an empty
     /// snapshot when the system was built without
     /// [`SystemBuilder::observability`].
     pub fn observe(&self) -> MetricsSnapshot {
@@ -779,7 +781,7 @@ mod tests {
             .unwrap();
         let mut plain = linear_system(Backend::SiteThreads);
 
-        // Machine tier: direct engine queries trace and mirror.
+        // Machine tier: direct engine queries trace and count.
         for (x, y) in [(0u32, 29u32), (5, 17)] {
             assert_eq!(
                 sys.shortest_path(n(x), n(y)).cost,
@@ -795,7 +797,7 @@ mod tests {
         sys.materialize().unwrap();
 
         let snap = sys.observe();
-        assert_eq!(snap.gauge("machine_queries"), Some(2), "{snap:?}");
+        assert_eq!(snap.counter("machine_queries"), Some(2), "{snap:?}");
         assert_eq!(snap.counter("serve_requests"), Some(1), "{snap:?}");
         assert!(snap.gauge("materialize_result_tuples").unwrap() > 0);
         assert!(!obs.tracer().recent(16).is_empty());

@@ -92,13 +92,9 @@ fn machine_handles_many_queries_and_accumulates_stats() {
         }
     }
     assert!(answered > 0);
-    assert_eq!(machine.stats().queries, 30);
-    let busy: Vec<_> = machine
-        .stats()
-        .sites
-        .iter()
-        .filter(|s| s.subqueries > 0)
-        .collect();
+    let stats = machine.stats();
+    assert_eq!(stats.queries, 30);
+    let busy: Vec<_> = stats.sites.iter().filter(|s| s.subqueries > 0).collect();
     assert!(!busy.is_empty(), "sites must have served subqueries");
     machine.shutdown();
 }

@@ -19,14 +19,22 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use discset::closure::ClosureError;
 use discset::fragment::linear::LinearConfig;
+use discset::fragment::Fragmentation;
 use discset::gen::deterministic::grid;
 use discset::graph::{Edge, NodeId};
 use discset::obs::{Stage, TraceOutcome};
-use discset::serve::{FaultScenario, FaultUniverse, ServeConfig, ServeError, Server};
-use discset::{Backend, Fragmenter, NetworkUpdate, Observability, System, TcEngine};
+use discset::serve::{
+    DurabilityConfig, FaultPlan, FaultPoint, FaultScenario, FaultUniverse, ServeConfig, ServeError,
+    Server,
+};
+use discset::{
+    Backend, Fragmenter, NetworkUpdate, Observability, QueryRequest, System, SystemBuilder,
+    TcEngine,
+};
 
 /// SplitMix64 — the traffic is as reproducible as the fault plan.
 fn splitmix(state: &mut u64) -> u64 {
@@ -95,7 +103,7 @@ fn run_ops(server: &Server, seed: u64, nodes: u64) -> Vec<OpResult> {
     out
 }
 
-fn system(backend: Backend) -> System {
+fn builder(backend: Backend) -> SystemBuilder {
     System::builder()
         .graph(&grid(9, 4))
         .fragmenter(Fragmenter::Linear(LinearConfig {
@@ -103,8 +111,10 @@ fn system(backend: Backend) -> System {
             ..Default::default()
         }))
         .backend(backend)
-        .build()
-        .expect("valid grid system")
+}
+
+fn system(backend: Backend) -> System {
+    builder(backend).build().expect("valid grid system")
 }
 
 /// Stages that resolve a read request; every answered trace must carry
@@ -234,13 +244,7 @@ fn disarmed_server_is_an_exact_oracle_for_the_armed_one() {
 #[test]
 fn machine_backend_traces_direct_queries_through_the_facade() {
     let obs = Observability::armed();
-    let mut sys = System::builder()
-        .graph(&grid(9, 4))
-        .fragmenter(Fragmenter::Linear(LinearConfig {
-            fragments: 3,
-            ..Default::default()
-        }))
-        .backend(Backend::SiteThreads)
+    let mut sys = builder(Backend::SiteThreads)
         .observability(Arc::clone(&obs))
         .build()
         .expect("valid grid system");
@@ -259,5 +263,136 @@ fn machine_backend_traces_direct_queries_through_the_facade() {
             "{t}"
         );
     }
-    assert_eq!(sys.observe().gauge("machine_queries"), Some(3));
+    assert_eq!(sys.observe().counter("machine_queries"), Some(3));
+}
+
+/// Every monotonic serve and machine total is exported with Prometheus
+/// type `counter`, so `rate()` over it means something; the only gauges
+/// are point-in-time values (serve epoch and queue depth, and the last
+/// materialize run).
+#[test]
+fn every_monotonic_metric_is_exported_as_a_counter() {
+    let obs = Observability::armed();
+    let mut sys = builder(Backend::SiteThreads)
+        .observability(Arc::clone(&obs))
+        .build()
+        .expect("valid grid system");
+    let [insert, remove] = toggle_updates(sys.fragmentation());
+    sys.query_batch(&[QueryRequest::new(NodeId(0), NodeId(35))]);
+    sys.update(&insert).expect("machine update applies");
+    let server = sys.serve(2);
+    server.query(NodeId(0), NodeId(35)).expect("served");
+    assert!(server.connected(NodeId(0), NodeId(35)).expect("served"));
+    server.update(&remove).expect("serve update applies");
+    server.shutdown();
+    sys.materialize().expect("materializes");
+
+    let text = obs.snapshot().to_prometheus();
+    let mut counters = Vec::new();
+    for line in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        let (name, kind) = line.split_once(' ').expect("name and type");
+        let point_in_time =
+            matches!(name, "serve_epoch" | "serve_queue_depth") || name.starts_with("materialize_");
+        let total = name.starts_with("serve_") || name.starts_with("machine_");
+        match kind {
+            "gauge" => assert!(point_in_time, "{name} is exported as a gauge"),
+            "counter" => counters.push(name),
+            _ => assert!(!total, "{name} is exported as {kind}"),
+        }
+    }
+    for family in [
+        "machine_queries",
+        "machine_tuples_shipped",
+        "serve_requests",
+    ] {
+        assert!(counters.contains(&family), "{family} missing:\n{text}");
+    }
+}
+
+/// Insert-then-remove of one fragment-0 connection.
+fn toggle_updates(frag: &Fragmentation) -> [NetworkUpdate; 2] {
+    let f0 = frag.fragment(0);
+    let (src, dst) = (f0.nodes()[0], *f0.nodes().last().expect("non-empty"));
+    [
+        NetworkUpdate::Insert {
+            edge: Edge::new(src, dst, 1),
+            owner: 0,
+        },
+        NetworkUpdate::Remove { src, dst, owner: 0 },
+    ]
+}
+
+/// `ServeStats` is a view over the registry, so the two agree exactly
+/// under every failure path: a worker panic, a writer panic mid-append
+/// on a durable server, a mid-evaluation cancellation, queue-time
+/// deadline sheds, and fast-path plus queued reads. The latency summary
+/// counts exactly the `request_latency_ns` samples.
+#[test]
+fn serve_stats_equal_the_registry_under_faults() {
+    let sys = system(Backend::Inline);
+    let dir = std::env::temp_dir().join(format!("ds-obs-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let deadline = Duration::from_millis(50);
+    let worker = FaultPoint::ServeWorker { worker: 0 };
+    let plan = FaultPlan::new()
+        .panic_at(worker, 3)
+        .delay_at(worker, 4, deadline * 5)
+        .panic_at(FaultPoint::WalAppend, 2);
+    let obs = Observability::armed();
+    let mut cfg = ServeConfig::with_workers(1);
+    cfg.deadline = Some(deadline);
+    cfg.durability = Some(DurabilityConfig::at(&dir));
+    cfg.fault = Some(Arc::new(plan));
+    cfg.obs = Some(Arc::clone(&obs));
+    let server = sys.serve_with(cfg);
+    let q = |x: u32, y: u32| vec![QueryRequest::new(NodeId(x), NodeId(y))];
+
+    // Worker-hook occurrences 1-3: a query, its cache hit, a panic.
+    let answered: Vec<bool> = [(0, 35), (0, 35), (1, 30)]
+        .iter()
+        .map(|&(x, y)| server.query(NodeId(x), NodeId(y)).is_ok())
+        .collect();
+    assert_eq!(answered, [true, true, false]);
+    // Occurrence 4 stalls the worker past the deadline (cancelled
+    // mid-evaluation); the two jobs queued behind it are shed.
+    let stalled = server.submit(&q(2, 31)).expect("admitted");
+    while server.stats().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+    let queued = [server.submit(&q(3, 32)), server.submit(&q(4, 33))];
+    assert!(stalled.wait().is_err());
+    assert!(queued
+        .into_iter()
+        .all(|p| p.expect("admitted").wait().is_err()));
+    for x in 0..3 {
+        assert!(server.connected(NodeId(x), NodeId(35)).expect("fast path"));
+    }
+    // The second append panics the writer; the respawn takes the third.
+    let [insert, remove] = toggle_updates(server.snapshot().fragmentation());
+    let applied: Vec<bool> = [insert, remove, remove]
+        .iter()
+        .map(|u| server.update(u).is_ok())
+        .collect();
+    assert_eq!(applied, [true, false, true]);
+    let stats = server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!((stats.worker_restarts, stats.writer_restarts), (1, 1));
+    assert_eq!((stats.deadline_cancelled, stats.deadline_shed), (1, 2));
+    assert_eq!(stats.reach_fast_path, 3);
+    let m = obs.snapshot();
+    macro_rules! totals {
+        ($($field:ident),*) => { [$((stringify!($field), stats.$field)),*] };
+    }
+    let totals = totals! {
+        requests, jobs, batches, evaluated, coalesced, cache_hits, cache_misses,
+        reach_fast_path, queue_rejections, deadline_shed, deadline_cancelled, worker_restarts,
+        writer_restarts, updates, publications, wal_records, wal_commits, wal_failures, checkpoints
+    };
+    for (name, value) in totals {
+        assert_eq!(m.counter(&format!("serve_{name}")), Some(value), "{name}");
+    }
+    assert_eq!(m.gauge("serve_epoch"), Some(stats.epoch));
+    let latency = m.histogram("request_latency_ns").expect("registered");
+    assert_eq!(latency.count(), stats.latency.count);
 }
