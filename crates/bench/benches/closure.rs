@@ -1,6 +1,6 @@
-//! Query latency: disconnection set approach (sequential and parallel
-//! phase one) vs the centralized baseline — the end-to-end comparison
-//! behind the paper's speed-up claim.
+//! Query latency: disconnection set approach vs the centralized
+//! baseline — the end-to-end comparison behind the paper's speed-up
+//! claim.
 //!
 //! ```text
 //! cargo bench -p ds-bench --bench closure
@@ -9,7 +9,6 @@
 use ds_bench::harness::{render, Bench};
 use ds_closure::baseline;
 use ds_closure::engine::{DisconnectionSetEngine, EngineConfig};
-use ds_closure::executor::ExecutionMode;
 use ds_fragment::{semantic, CrossingPolicy};
 use ds_gen::{generate_transportation, TransportationConfig};
 use ds_graph::NodeId;
@@ -35,19 +34,8 @@ fn bench_closure(results: &mut Vec<ds_bench::harness::BenchResult>) {
         )
         .unwrap();
         let csr = g.closure_graph();
-        let seq =
-            DisconnectionSetEngine::build(csr.clone(), frag.clone(), true, EngineConfig::default())
-                .unwrap();
-        let par = DisconnectionSetEngine::build(
-            csr.clone(),
-            frag,
-            true,
-            EngineConfig {
-                mode: ExecutionMode::Parallel,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let seq = DisconnectionSetEngine::build(csr.clone(), frag, true, EngineConfig::default())
+            .unwrap();
         // First cluster to last cluster: the longest chain.
         let (x, y) = (
             NodeId(0),
@@ -59,9 +47,6 @@ fn bench_closure(results: &mut Vec<ds_bench::harness::BenchResult>) {
         });
         group.run(&format!("ds-sequential/{clusters}"), || {
             seq.shortest_path(x, y).cost
-        });
-        group.run(&format!("ds-parallel/{clusters}"), || {
-            par.shortest_path(x, y).cost
         });
     }
     results.extend(group.into_results());

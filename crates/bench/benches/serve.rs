@@ -19,8 +19,8 @@
 //! coalesce (single-flight), repeats across micro-batches hit the
 //! per-epoch answer cache, queries between the same fragment pair share
 //! one chain plan and one set of interior segments per batch
-//! (`run_batch`) — and, on many-core hardware, into genuine phase-one
-//! parallelism on top.
+//! (`run_batch_bounded`) — and, on many-core hardware, into genuine
+//! phase-one parallelism on top.
 //!
 //! **Seed sweep.** Every workload is generated at `SEEDS.len()` (≥ 3)
 //! generator seeds; per-seed rows land in the JSON next to one aggregate

@@ -85,7 +85,6 @@ fn main() {
                     r.fragments.to_string(),
                     f1(r.centralized_us),
                     f1(r.ds_sequential_us),
-                    f1(r.ds_parallel_us),
                     f1(r.machine_us),
                     f2(r.ideal_speedup),
                     r.queries.to_string(),
@@ -99,7 +98,6 @@ fn main() {
                     "#frag",
                     "central us",
                     "DS seq us",
-                    "DS par us",
                     "machine us",
                     "ideal x",
                     "queries"

@@ -3,25 +3,20 @@
 //!
 //! We fragment chain transportation graphs by their ground-truth clusters
 //! (the "good fragmentation") and time end-to-end shortest-path queries
-//! four ways: the centralized baseline (global Dijkstra) plus every
+//! three ways: the centralized baseline (global Dijkstra) plus every
 //! `TcEngine` backend — the disconnection set approach on one processor,
-//! with one thread per site subquery, and on the message-passing machine
-//! simulation. All backends are deployed through the `System` facade and
-//! timed through one trait-driven code path. Two speed-up measures are
-//! reported:
-//!
-//! * the *ideal* speed-up `Σ site busy / max site busy` — what a
-//!   PRISMA-style machine with free threads would get from phase one
-//!   (deterministic, noise-free); and
-//! * the measured wall-clock ratio sequential/parallel (noisy on a shared
-//!   host, reported for reference).
+//! and on the message-passing machine simulation with one persistent
+//! thread per site. All backends are deployed through the `System` facade
+//! and timed through one trait-driven code path. The speed-up measure is
+//! the *ideal* speed-up `Σ site busy / max site busy` — what a
+//! PRISMA-style machine with free threads would get from phase one
+//! (deterministic, noise-free); the wall-clock times are noisy on a
+//! shared host and reported for reference.
 
 use std::time::Instant;
 
 use discset::{Backend, Fragmenter, System, TcEngine};
 use ds_closure::baseline;
-use ds_closure::engine::EngineConfig;
-use ds_closure::executor::ExecutionMode;
 use ds_fragment::CrossingPolicy;
 use ds_gen::{generate_transportation, TransportationConfig};
 use ds_graph::NodeId;
@@ -35,8 +30,6 @@ pub struct SpeedupRow {
     pub centralized_us: f64,
     /// Mean disconnection-set query time, sequential phase one (µs).
     pub ds_sequential_us: f64,
-    /// Mean disconnection-set query time, parallel phase one (µs).
-    pub ds_parallel_us: f64,
     /// Mean query time on the persistent-thread machine simulation (µs).
     pub machine_us: f64,
     /// Mean ideal speed-up from site accounting (Σ busy / max busy).
@@ -78,25 +71,17 @@ fn one_row(clusters: usize, nodes_per_cluster: usize, seed: u64) -> SpeedupRow {
 
     // Every backend variant, deployed through the System facade. The
     // timing loop below drives them all through `&mut dyn TcEngine`.
-    let mut variants: Vec<System> = [
-        (Backend::Inline, ExecutionMode::Sequential),
-        (Backend::Inline, ExecutionMode::Parallel),
-        (Backend::SiteThreads, ExecutionMode::Sequential),
-    ]
-    .into_iter()
-    .map(|(backend, mode)| {
-        System::builder()
-            .graph(&g)
-            .fragmenter(fragmenter.clone())
-            .backend(backend)
-            .config(EngineConfig {
-                mode,
-                ..EngineConfig::default()
-            })
-            .build()
-            .expect("system deploys")
-    })
-    .collect();
+    let mut variants: Vec<System> = [Backend::Inline, Backend::SiteThreads]
+        .into_iter()
+        .map(|backend| {
+            System::builder()
+                .graph(&g)
+                .fragmenter(fragmenter.clone())
+                .backend(backend)
+                .build()
+                .expect("system deploys")
+        })
+        .collect();
 
     // End-to-end queries: first cluster -> last cluster.
     let m = nodes_per_cluster as u32;
@@ -110,7 +95,7 @@ fn one_row(clusters: usize, nodes_per_cluster: usize, seed: u64) -> SpeedupRow {
         .collect();
 
     let mut centralized_us = 0.0;
-    let mut backend_us = [0.0f64; 3];
+    let mut backend_us = [0.0f64; 2];
     let mut ideal = 0.0;
     for &(x, y) in &queries {
         let t = Instant::now();
@@ -142,8 +127,7 @@ fn one_row(clusters: usize, nodes_per_cluster: usize, seed: u64) -> SpeedupRow {
         fragments: clusters,
         centralized_us: centralized_us / n,
         ds_sequential_us: backend_us[0] / n,
-        ds_parallel_us: backend_us[1] / n,
-        machine_us: backend_us[2] / n,
+        machine_us: backend_us[1] / n,
         ideal_speedup: ideal / n,
         queries: queries.len(),
     }

@@ -18,11 +18,11 @@
 //! * [`BatchPlanner`] — chain planning amortized across a batch: the
 //!   expensive chain enumeration runs once per (source-fragment,
 //!   target-fragment) pair instead of once per query;
-//! * [`run_batch`] — the batch driver: besides reusing plans, it caches
-//!   the *interior* segment relations of each fragment chain (those
-//!   depend only on the disconnection sets, not on the query endpoints),
-//!   so a batch of k queries along one chain of length L costs
-//!   `L - 2 + 2k` site subqueries instead of `L·k`.
+//! * [`run_batch_bounded`] — the one batch driver: besides reusing
+//!   plans, it caches the *interior* segment relations of each fragment
+//!   chain (those depend only on the disconnection sets, not on the query
+//!   endpoints), so a batch of k queries along one chain of length L
+//!   costs `L - 2 + 2k` site subqueries instead of `L·k`.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -408,8 +408,8 @@ impl<'a> BatchPlanner<'a> {
 /// `positions` indexes into `chain.queries`; implementations return the
 /// segment relations in the same order and add the site accounting (site
 /// queries run, tuples produced, busy time) to `stats`. The inline
-/// backend runs them on the calling thread (or one thread each); the
-/// machine backend turns each position into a request message.
+/// backend runs them on the calling thread; the machine backend turns
+/// each position into a request message.
 pub trait SiteEvaluator {
     fn eval_positions(
         &mut self,
@@ -418,63 +418,11 @@ pub trait SiteEvaluator {
         stats: &mut QueryStats,
     ) -> Vec<Relation<PathTuple>>;
 
-    /// Called by [`run_batch_traced`] before each request's evaluation
+    /// Called by [`run_batch_bounded`] before each request's evaluation
     /// with that request's trace id, so message-passing backends can
     /// stamp the id into their protocol traffic. The default is a no-op;
     /// untraced batches never call it.
     fn begin_query(&mut self, _trace: TraceId) {}
-}
-
-/// The batch driver shared by every backend.
-///
-/// Per request: plan through the [`BatchPlanner`] (chain enumeration once
-/// per fragment-pair), then evaluate each chain. For chains of length
-/// ≥ 3 the interior subqueries — `DS(f_{i-1}, f_i) -> DS(f_i, f_{i+1})`,
-/// which do not mention the query endpoints — are evaluated once per
-/// distinct fragment chain and reused across the whole batch; only the
-/// first and last site subqueries are endpoint-specific.
-pub fn run_batch<E: SiteEvaluator>(
-    planner: &Planner,
-    eval: &mut E,
-    requests: &[QueryRequest],
-) -> BatchAnswer {
-    run_batch_traced(planner, eval, requests, &[], None)
-}
-
-/// [`run_batch`] with request tracing: `traces[i]` is request `i`'s
-/// [`TraceId`] (an empty slice means untraced — the [`run_batch`] fast
-/// path), and when `sink` is given, one [`EvalTrace`] per request is
-/// appended to it carrying the request's total evaluation time and
-/// per-chain segment times. Before each traced request the driver calls
-/// [`SiteEvaluator::begin_query`] so the backend can stamp the id into
-/// its protocol messages. The untraced path takes no timestamps and
-/// performs no extra work beyond one branch per request.
-pub fn run_batch_traced<E: SiteEvaluator>(
-    planner: &Planner,
-    eval: &mut E,
-    requests: &[QueryRequest],
-    traces: &[TraceId],
-    sink: Option<&mut Vec<EvalTrace>>,
-) -> BatchAnswer {
-    let bounded = run_batch_bounded(planner, eval, requests, traces, sink, &[]);
-    BatchAnswer {
-        answers: bounded
-            .answers
-            .into_iter()
-            .map(|a| match a {
-                Some(a) => a,
-                // Without deadlines no request can be cancelled; keep
-                // this arm total anyway (an unreachable unanswered slot
-                // degrades to "unreachable", never to a panic).
-                None => QueryAnswer {
-                    cost: None,
-                    best_chain: None,
-                    stats: QueryStats::default(),
-                },
-            })
-            .collect(),
-        stats: bounded.stats,
-    }
 }
 
 /// Result of a deadline-bounded batch ([`run_batch_bounded`]): `None`
@@ -485,17 +433,57 @@ pub struct BoundedBatchAnswer {
     pub stats: BatchStats,
 }
 
-/// [`run_batch_traced`] with cooperative cancellation: `deadlines[i]`
-/// is request `i`'s absolute deadline (an empty slice, or `None` at a
-/// position, means unbounded). The driver checks the clock between
-/// requests and — inside a request — between fragment chains, so even
-/// a pathological multi-chain evaluation is abandoned at the next
-/// chain boundary rather than running to completion. A cancelled
-/// request yields `None`; work already performed for it (plans,
-/// interior segments) stays in the batch caches and keeps benefiting
-/// the remaining requests. The serve tier threads each job's
-/// admission-stamped deadline through here and resolves `None` slots
-/// with [`ClosureError::DeadlineExceeded`].
+/// The answers of a batch run without deadlines, where no request can be
+/// abandoned. The conversion is total anyway: an unanswered slot
+/// degrades to "unreachable", never to a panic.
+impl From<BoundedBatchAnswer> for BatchAnswer {
+    fn from(bounded: BoundedBatchAnswer) -> Self {
+        BatchAnswer {
+            answers: bounded
+                .answers
+                .into_iter()
+                .map(|a| {
+                    a.unwrap_or(QueryAnswer {
+                        cost: None,
+                        best_chain: None,
+                        stats: QueryStats::default(),
+                    })
+                })
+                .collect(),
+            stats: bounded.stats,
+        }
+    }
+}
+
+/// The batch driver shared by every backend.
+///
+/// Per request: plan through the [`BatchPlanner`] (chain enumeration once
+/// per fragment-pair), then evaluate each chain. For chains of length
+/// ≥ 3 the interior subqueries — `DS(f_{i-1}, f_i) -> DS(f_i, f_{i+1})`,
+/// which do not mention the query endpoints — are evaluated once per
+/// distinct fragment chain and reused across the whole batch; only the
+/// first and last site subqueries are endpoint-specific.
+///
+/// Tracing: `traces[i]` is request `i`'s [`TraceId`] (an empty slice
+/// means untraced), and when `sink` is given, one [`EvalTrace`] per
+/// request is appended to it carrying the request's total evaluation
+/// time and per-chain segment times. Before each traced request the
+/// driver calls [`SiteEvaluator::begin_query`] so the backend can stamp
+/// the id into its protocol messages. The untraced path takes no
+/// timestamps and performs no extra work beyond one branch per request.
+///
+/// Cooperative cancellation: `deadlines[i]` is request `i`'s absolute
+/// deadline (an empty slice, or `None` at a position, means unbounded).
+/// The driver checks the clock between requests and — inside a
+/// request — between fragment chains, so even a pathological
+/// multi-chain evaluation is abandoned at the next chain boundary rather
+/// than running to completion. A cancelled request yields `None`; work
+/// already performed for it (plans, interior segments) stays in the
+/// batch caches and keeps benefiting the remaining requests. The serve
+/// tier threads each job's admission-stamped deadline through here and
+/// resolves `None` slots with [`ClosureError::DeadlineExceeded`].
+/// Without deadlines every slot is answered, and `.into()` gives the
+/// plain [`BatchAnswer`].
 pub fn run_batch_bounded<E: SiteEvaluator>(
     planner: &Planner,
     eval: &mut E,
@@ -738,7 +726,8 @@ mod tests {
             .iter()
             .map(|&(a, b)| (n(a), n(b)).into())
             .collect();
-        let batch = run_batch(&planner, &mut eval, &requests);
+        let batch: BatchAnswer =
+            run_batch_bounded(&planner, &mut eval, &requests, &[], None, &[]).into();
         assert_eq!(batch.answers.len(), 3);
         for (i, a) in batch.answers.iter().enumerate() {
             assert!(a.cost.is_some(), "query {i} reachable");
@@ -757,7 +746,8 @@ mod tests {
         let planner = Planner::new(&frag, 16, 8, None);
         let mut eval = counting_eval(&frag);
         let requests = vec![QueryRequest::new(n(1), n(1)), QueryRequest::new(n(0), n(2))];
-        let batch = run_batch(&planner, &mut eval, &requests);
+        let batch: BatchAnswer =
+            run_batch_bounded(&planner, &mut eval, &requests, &[], None, &[]).into();
         assert_eq!(batch.answers[0].cost, Some(0));
         assert_eq!(
             batch.answers[1].cost, None,
@@ -773,16 +763,26 @@ mod tests {
             .iter()
             .map(|&(a, b)| (n(a), n(b)).into())
             .collect();
-        let plain = run_batch(&planner, &mut counting_eval(&frag), &requests);
+        let plain: BatchAnswer = run_batch_bounded(
+            &planner,
+            &mut counting_eval(&frag),
+            &requests,
+            &[],
+            None,
+            &[],
+        )
+        .into();
         let traces: Vec<TraceId> = (1..=3).map(TraceId).collect();
         let mut sink = Vec::new();
-        let traced = run_batch_traced(
+        let traced: BatchAnswer = run_batch_bounded(
             &planner,
             &mut counting_eval(&frag),
             &requests,
             &traces,
             Some(&mut sink),
-        );
+            &[],
+        )
+        .into();
         assert_eq!(plain.costs(), traced.costs(), "tracing changes no answer");
         assert_eq!(sink.len(), 3, "one EvalTrace per request");
         for (i, et) in sink.iter().enumerate() {
@@ -821,17 +821,18 @@ mod tests {
             inner: counting_eval(&frag),
             seen: Vec::new(),
         };
-        run_batch_traced(
+        run_batch_bounded(
             &planner,
             &mut eval,
             &requests,
             &[TraceId(9), TraceId(10)],
             None,
+            &[],
         );
         assert_eq!(eval.seen, vec![TraceId(9), TraceId(10)]);
         // Untraced batches never call begin_query.
         eval.seen.clear();
-        run_batch(&planner, &mut eval, &requests);
+        run_batch_bounded(&planner, &mut eval, &requests, &[], None, &[]);
         assert!(eval.seen.is_empty());
     }
 

@@ -446,10 +446,12 @@ impl ComplementaryInfo {
     }
 
     /// Like [`ComplementaryInfo::compute`], but runs the per-fragment
-    /// local sweeps on `threads` OS threads. The local-sweep phase
-    /// parallelizes embarrassingly (fragments are independent) — the same
-    /// observation that makes phase one of query processing
-    /// communication-free. Results are identical to the sequential run.
+    /// local sweeps on `threads` OS threads, one [`ds_fault::fan_out`]
+    /// over the fragments with a scratch per thread. The local-sweep
+    /// phase parallelizes embarrassingly (fragments are independent) —
+    /// the same observation that makes phase one of query processing
+    /// communication-free. Results are identical to the sequential run;
+    /// a panicking sweep re-raises its panic on the caller.
     pub fn compute_with_threads(
         graph: &CsrGraph,
         frag: &Fragmentation,
@@ -467,46 +469,15 @@ impl ComplementaryInfo {
 
         // Phase 1: fragment-local border sweeps.
         let t0 = Instant::now();
-        let frag_ids: Vec<usize> = (0..frag.fragment_count()).collect();
-        let mut sweeps: Vec<LocalSweepOut> = if threads <= 1 || frag_ids.len() < 2 {
-            let mut scratch = ScratchDijkstra::new();
-            frag_ids
-                .iter()
-                .map(|&f| {
-                    local_sweeps_for_fragment(graph, frag, f, &borders, store_paths, &mut scratch)
-                })
-                .collect()
-        } else {
-            let chunk = frag_ids.len().div_ceil(threads);
-            let results: Vec<Vec<LocalSweepOut>> = std::thread::scope(|s| {
-                let handles: Vec<_> = frag_ids
-                    .chunks(chunk)
-                    .map(|ids| {
-                        let borders = &borders;
-                        s.spawn(move || {
-                            let mut scratch = ScratchDijkstra::new();
-                            ids.iter()
-                                .map(|&f| {
-                                    local_sweeps_for_fragment(
-                                        graph,
-                                        frag,
-                                        f,
-                                        borders,
-                                        store_paths,
-                                        &mut scratch,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("precompute thread panicked"))
-                    .collect()
-            });
-            results.into_iter().flatten().collect()
-        };
+        let mut sweeps: Vec<LocalSweepOut> = ds_fault::fan_out(
+            threads,
+            (0..frag.fragment_count()).collect(),
+            ScratchDijkstra::new,
+            |scratch, f| local_sweeps_for_fragment(graph, frag, f, &borders, store_paths, scratch),
+        )
+        .into_iter()
+        .map(|sweep| sweep.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        .collect();
         let mut skel_edges: Vec<SkelEdge> = Vec::new();
         let mut frag_trees: Vec<FragTrees> = Vec::new();
         for (f, out) in sweeps.iter_mut().enumerate() {

@@ -1,11 +1,13 @@
-//! Phase-one execution: run the chain's site subqueries, sequentially or
-//! with one OS thread per site.
+//! Phase-one execution: run the chain's site subqueries on the calling
+//! thread.
 //!
 //! "Note that neither communication nor synchronization is required
 //! during the first phase of the computation … Only at the end of the
 //! computation, communication is required for computing the final joins"
-//! (§2.1). The parallel mode exploits exactly that independence: every
-//! [`SiteQuery`] reads only its own site's augmented graph.
+//! (§2.1). Every [`SiteQuery`] reads only its own site's augmented graph;
+//! the one-fragment-per-processor model of that independence is the
+//! message-passing machine backend (`ds_machine`), where each site is a
+//! long-lived thread with its own memory.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,16 +18,16 @@ use ds_relation::{PathTuple, Relation};
 use crate::local::border_matrix_with;
 use crate::planner::{ChainPlan, SiteQuery};
 
-/// Sequential or site-parallel phase one.
+/// Phase-one execution mode. Only [`ExecutionMode::Sequential`] is left:
+/// the type, [`crate::engine::EngineConfig::mode`] and the `mode`
+/// parameter of [`run_chain`] remain only because the repository
+/// benchmark (`tcbench/`) still names them, and go when it is next
+/// revised.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// All subqueries on the calling thread (the centralized-machine
-    /// view; also the baseline for speed-up measurements).
+    /// All subqueries on the calling thread.
     #[default]
     Sequential,
-    /// One thread per site subquery (`std::thread::scope`), the paper's
-    /// one-fragment-per-processor model.
-    Parallel,
 }
 
 /// Accounting for one site's subquery.
@@ -39,46 +41,22 @@ pub struct SiteRun {
     pub tuples: usize,
 }
 
-/// Evaluate every subquery of a chain. Returns the segment relations (in
-/// chain order) and per-site accounting.
-///
-/// Sequential mode runs every subquery on `scratch`, so a caller that
-/// keeps one scratch across chains/queries performs no per-subquery O(V)
-/// allocations. Parallel mode gives each site thread its own fresh
-/// scratch (stamped arrays cannot be shared across threads — exactly as
-/// each real site owns its memory).
+/// Evaluate every subquery of a chain on `scratch`, so a caller that
+/// keeps one scratch across chains and queries performs no per-subquery
+/// O(V) allocations. Returns the segment relations (in chain order) and
+/// per-site accounting. `mode` has a single value (see
+/// [`ExecutionMode`]).
 pub fn run_chain(
     augmented: &[Arc<CsrGraph>],
     chain: &ChainPlan,
-    mode: ExecutionMode,
+    _mode: ExecutionMode,
     scratch: &mut ScratchDijkstra,
 ) -> (Vec<Relation<PathTuple>>, Vec<SiteRun>) {
-    match mode {
-        ExecutionMode::Sequential => chain
-            .queries
-            .iter()
-            .map(|q| run_one(augmented, q, scratch))
-            .unzip(),
-        ExecutionMode::Parallel => {
-            let results: Vec<(Relation<PathTuple>, SiteRun)> = std::thread::scope(|s| {
-                let handles: Vec<_> = chain
-                    .queries
-                    .iter()
-                    .map(|q| {
-                        s.spawn(move || {
-                            let mut local = ScratchDijkstra::new();
-                            run_one(augmented, q, &mut local)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("site thread panicked"))
-                    .collect()
-            });
-            results.into_iter().unzip()
-        }
-    }
+    chain
+        .queries
+        .iter()
+        .map(|q| run_one(augmented, q, scratch))
+        .unzip()
 }
 
 fn run_one(
@@ -128,27 +106,14 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree() {
-        let (aug, chain) = setup();
-        let mut scratch = ScratchDijkstra::new();
-        let (seq, seq_runs) = run_chain(&aug, &chain, ExecutionMode::Sequential, &mut scratch);
-        let (par, par_runs) = run_chain(&aug, &chain, ExecutionMode::Parallel, &mut scratch);
-        assert_eq!(seq.len(), 2);
-        assert_eq!(seq[0].rows(), par[0].rows());
-        assert_eq!(seq[1].rows(), par[1].rows());
-        assert_eq!(seq_runs.len(), par_runs.len());
-        assert_eq!(seq_runs[0].tuples, 1);
-        assert_eq!(seq_runs[1].tuples, 1);
-        assert_eq!(seq_runs[0].site, 0);
-        assert_eq!(par_runs[1].site, 1);
-    }
-
-    #[test]
     fn segment_costs_are_local_shortest_paths() {
         let (aug, chain) = setup();
         let mut scratch = ScratchDijkstra::new();
-        let (segs, _) = run_chain(&aug, &chain, ExecutionMode::Sequential, &mut scratch);
+        let (segs, runs) = run_chain(&aug, &chain, ExecutionMode::Sequential, &mut scratch);
         assert_eq!(segs[0].cost_of(n(0), n(2)), Some(2));
         assert_eq!(segs[1].cost_of(n(2), n(4)), Some(2));
+        // One accounting record per subquery, in chain order.
+        let sites: Vec<(usize, usize)> = runs.iter().map(|r| (r.site, r.tuples)).collect();
+        assert_eq!(sites, vec![(0, 1), (1, 1)]);
     }
 }

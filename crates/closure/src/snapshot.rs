@@ -43,8 +43,8 @@ use ds_graph::{Cost, CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 use ds_relation::{PathTuple, Relation};
 
 use crate::api::{
-    build_parts, run_batch, BatchAnswer, EngineParts, NetworkUpdate, QueryRequest, RealHopSet,
-    SiteEvaluator,
+    build_parts, run_batch_bounded, BatchAnswer, EngineParts, NetworkUpdate, QueryRequest,
+    RealHopSet, SiteEvaluator,
 };
 use crate::assemble;
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
@@ -422,44 +422,23 @@ impl EngineSnapshot {
 
     /// Answer many shortest-path requests on `scratch`, amortizing chain
     /// planning and interior segment evaluation across the batch (see
-    /// [`run_batch`]).
+    /// [`run_batch_bounded`]).
     pub fn query_batch(
         &self,
         requests: &[QueryRequest],
         scratch: &mut ScratchDijkstra,
     ) -> BatchAnswer {
-        let mut eval = InlineEval {
-            augmented: &self.augmented,
-            mode: self.cfg.mode,
-            scratch,
-        };
-        run_batch(&self.planner, &mut eval, requests)
+        self.query_batch_bounded(requests, scratch, &[], None, &[])
+            .into()
     }
 
-    /// [`EngineSnapshot::query_batch`] with request tracing: `traces[i]`
-    /// is request `i`'s id, and per-request evaluation timings (total
-    /// plus per-chain segments) are appended to `sink`. Answers are
-    /// identical to the untraced path; the serve workers call this when
-    /// observability is armed.
-    pub fn query_batch_traced(
-        &self,
-        requests: &[QueryRequest],
-        scratch: &mut ScratchDijkstra,
-        traces: &[ds_obs::TraceId],
-        sink: &mut Vec<ds_obs::EvalTrace>,
-    ) -> BatchAnswer {
-        let mut eval = InlineEval {
-            augmented: &self.augmented,
-            mode: self.cfg.mode,
-            scratch,
-        };
-        crate::api::run_batch_traced(&self.planner, &mut eval, requests, traces, Some(sink))
-    }
-
-    /// [`EngineSnapshot::query_batch_traced`] with cooperative
-    /// cancellation: `deadlines[i]` is request `i`'s absolute deadline
-    /// (empty slice or `None` = unbounded), checked between requests
-    /// and between fragment chains. A request that blows its deadline
+    /// [`EngineSnapshot::query_batch`] with request tracing and
+    /// cooperative cancellation. `traces[i]` is request `i`'s id, and
+    /// per-request evaluation timings (total plus per-chain segments)
+    /// are appended to `sink`; answers are identical to the untraced
+    /// path. `deadlines[i]` is request `i`'s absolute deadline (empty
+    /// slice or `None` = unbounded), checked between requests and
+    /// between fragment chains. A request that blows its deadline
     /// mid-evaluation comes back as `None` instead of an answer; the
     /// serve tier resolves those with
     /// [`ClosureError::DeadlineExceeded`]. Tracing is optional: pass an
@@ -474,10 +453,9 @@ impl EngineSnapshot {
     ) -> crate::api::BoundedBatchAnswer {
         let mut eval = InlineEval {
             augmented: &self.augmented,
-            mode: self.cfg.mode,
             scratch,
         };
-        crate::api::run_batch_bounded(&self.planner, &mut eval, requests, traces, sink, deadlines)
+        run_batch_bounded(&self.planner, &mut eval, requests, traces, sink, deadlines)
     }
 
     /// Reconstruct the full cheapest route. Requires
@@ -670,11 +648,9 @@ fn real_hop_set(edges: &[ds_graph::Edge], symmetric: bool) -> RealHopSet {
 }
 
 /// Site evaluation for snapshot-backed (and inline-engine) batches:
-/// subqueries run on the calling thread or one scoped thread each, per
-/// [`EngineConfig::mode`], against the caller's scratch.
+/// subqueries run on the calling thread against the caller's scratch.
 struct InlineEval<'a> {
     augmented: &'a [Arc<CsrGraph>],
-    mode: crate::executor::ExecutionMode,
     scratch: &'a mut ScratchDijkstra,
 }
 
@@ -692,7 +668,12 @@ impl SiteEvaluator for InlineEval<'_> {
                 .map(|&p| chain.queries[p].clone())
                 .collect(),
         };
-        let (segments, runs) = run_chain(self.augmented, &sub, self.mode, self.scratch);
+        let (segments, runs) = run_chain(
+            self.augmented,
+            &sub,
+            crate::executor::ExecutionMode::Sequential,
+            self.scratch,
+        );
         for r in &runs {
             stats.site_queries += 1;
             stats.tuples_shipped += r.tuples;

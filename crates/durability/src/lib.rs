@@ -318,17 +318,14 @@ fn scope_from(tag: u8) -> Option<ComplementaryScope> {
     }
 }
 
-fn mode_tag(mode: ExecutionMode) -> u8 {
-    match mode {
-        ExecutionMode::Sequential => 0,
-        ExecutionMode::Parallel => 1,
-    }
-}
+/// Phase-one mode byte. Images are written with tag 0 (sequential);
+/// tag 1 was the since-removed thread-per-subquery mode, which answered
+/// identically, so older checkpoints carrying it still recover.
+const MODE_TAG_SEQUENTIAL: u8 = 0;
 
 fn mode_from(tag: u8) -> Option<ExecutionMode> {
     match tag {
-        0 => Some(ExecutionMode::Sequential),
-        1 => Some(ExecutionMode::Parallel),
+        0 | 1 => Some(ExecutionMode::Sequential),
         _ => None,
     }
 }
@@ -358,7 +355,7 @@ fn encode_checkpoint(snapshot: &EngineSnapshot, lsn: u64, epoch: u64) -> Vec<u8>
     payload.push(u8::from(cfg.store_paths));
     put_u64(&mut payload, cfg.max_chains as u64);
     put_u64(&mut payload, cfg.max_chain_len as u64);
-    payload.push(mode_tag(cfg.mode));
+    payload.push(MODE_TAG_SEQUENTIAL);
     match cfg.hub {
         Some(h) => {
             payload.push(1);
@@ -1127,6 +1124,55 @@ mod tests {
         }
         assert!(decode_checkpoint(&bytes[..bytes.len() - 1]).is_none());
         assert!(decode_checkpoint(b"").is_none());
+    }
+
+    /// Write a real checkpoint (the LSN-0 image `attach` lays down),
+    /// check that it carries mode tag 0, patch the tag to `tag` and
+    /// re-seal the CRC so only the tag differs from a valid image.
+    fn checkpoint_with_mode_tag(tag: u8) -> (PathBuf, EngineSnapshot) {
+        // Magic, then lsn, epoch, symmetric, scope, store_paths,
+        // max_chains and max_chain_len precede the mode byte.
+        const MODE_OFFSET: usize = CKPT_MAGIC.len() + 8 + 8 + 1 + 1 + 1 + 8 + 8;
+        let dir = tmpdir("mode-tag");
+        let snap = small_snapshot();
+        drop(DurableStore::attach(DurabilityConfig::at(&dir), &snap, 0, None).expect("attach"));
+        let (_, path) = checkpoint_paths(&dir).pop().expect("initial checkpoint");
+        let mut bytes = fs::read(&path).expect("read checkpoint");
+        assert_eq!(bytes[MODE_OFFSET], 0, "images are written with tag 0");
+        bytes[MODE_OFFSET] = tag;
+        let crc_at = bytes.len() - 4;
+        let crc = crc32(&bytes[CKPT_MAGIC.len()..crc_at]);
+        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).expect("write patched checkpoint");
+        (dir, snap)
+    }
+
+    #[test]
+    fn legacy_parallel_mode_tag_recovers_as_sequential() {
+        let (dir, snap) = checkpoint_with_mode_tag(1);
+        let rec = recover(&dir).expect("tag 1 still recovers");
+        assert_eq!(rec.snapshot.config().mode, ExecutionMode::Sequential);
+        let mut scratch = ScratchDijkstra::new();
+        for x in 0..6u32 {
+            for y in 0..6u32 {
+                assert_eq!(
+                    rec.snapshot.shortest_path(n(x), n(y), &mut scratch).cost,
+                    ds_closure::baseline::shortest_path_cost(snap.graph(), n(x), n(y)),
+                    "{x}->{y}"
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_mode_tag_is_rejected() {
+        let (dir, _) = checkpoint_with_mode_tag(2);
+        assert!(matches!(
+            recover(&dir),
+            Err(DurabilityError::NoCheckpoint { .. })
+        ));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

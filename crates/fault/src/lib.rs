@@ -1,12 +1,13 @@
-//! Deterministic fault injection for the threaded subsystems, plus the
-//! poison-tolerant lock helpers the supervisors rely on.
+//! Deterministic fault injection for the threaded subsystems, the
+//! poison-tolerant lock helpers the supervisors rely on, and [`fan_out`],
+//! the one fork-join for independent per-fragment work.
 //!
 //! Every threaded tier of the workspace — the serve worker pool, the
-//! serve writer, the machine's site threads, the bulk materialize pool —
-//! carries an `Option<Arc<FaultPlan>>` and calls [`fire`] at a small set
-//! of named [`FaultPoint`]s. With no plan armed (`None`, the production
-//! configuration) a hook is a single branch on an `Option` — no
-//! atomics, no locks, nothing to configure out with `cfg`. With a plan
+//! serve writer, the machine's site threads, the bulk materialize
+//! rounds — carries an `Option<Arc<FaultPlan>>` and calls [`fire`] at a
+//! small set of named [`FaultPoint`]s. With no plan armed (`None`, the
+//! production configuration) a hook is a single branch on an `Option` —
+//! no atomics, no locks, nothing to configure out with `cfg`. With a plan
 //! armed, the plan counts occurrences per point and, when a rule's
 //! occurrence number comes up, injects the failure:
 //!
@@ -26,7 +27,10 @@
 //! seed so a test can sweep seeds and cover every scenario kind without
 //! enumerating them by hand.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -48,6 +52,70 @@ pub fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGu
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Run `work` over `items` on up to `threads` threads and return the
+/// outcomes in item order — the one fork-join for independent
+/// per-fragment work (phase one of the paper's strategy needs neither
+/// communication nor synchronization between fragments).
+///
+/// With `threads <= 1` or at most one item everything runs on the
+/// calling thread and nothing is spawned. Otherwise the caller and
+/// `threads - 1` scoped workers (never more threads than items) pull
+/// items from one shared cursor. Each thread builds its private state
+/// with `init` (a reusable scratch, say) and hands it to every item it
+/// runs.
+///
+/// Every item runs under `catch_unwind`: a panic is that item's `Err`,
+/// the other items still run, and the thread rebuilds its state with
+/// `init`, since the panic may have left it half-updated. A panic in
+/// `init` itself is not caught and propagates to the caller.
+pub fn fan_out<T, S, R>(
+    threads: usize,
+    items: Vec<T>,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, T) -> R + Sync,
+) -> Vec<std::thread::Result<R>>
+where
+    T: Send,
+    R: Send,
+{
+    let total = items.len();
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    let drain = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            // The guard is a temporary of this statement: the lock is
+            // released before the item runs.
+            let Some((i, item)) = lock_unpoisoned(&cursor).next() else {
+                break done;
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| work(&mut state, item)));
+            if outcome.is_err() {
+                state = init();
+            }
+            done.push((i, outcome));
+        }
+    };
+    let helpers = threads.min(total).saturating_sub(1);
+    let mut done = if helpers == 0 {
+        drain()
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(drain)).collect();
+            let mut done = drain();
+            for handle in handles {
+                match handle.join() {
+                    Ok(mut part) => done.append(&mut part),
+                    Err(payload) => resume_unwind(payload),
+                }
+            }
+            done
+        })
+    };
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
 /// A named hook location. The variants carry the component index so a
 /// plan can target "worker 2" or "site 0" specifically; the occurrence
 /// counter is kept per distinct `FaultPoint` value.
@@ -59,7 +127,7 @@ pub enum FaultPoint {
     ServeWriter,
     /// A machine site thread about to process one request message.
     MachineSite { site: usize },
-    /// A bulk materialize worker about to run one fragment round.
+    /// The bulk materialize engine about to run one fragment round.
     BulkWorker { fragment: usize },
     /// The durable store about to append a group-committed WAL batch.
     WalAppend,
@@ -498,6 +566,72 @@ mod tests {
         assert!(r.is_err(), "panic action unwinds from the disk hook");
         // The respawned component survives the same point.
         assert_eq!(fire_disk(&armed, FaultPoint::CheckpointWrite), None);
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order() {
+        let items: Vec<u64> = (0..40).collect();
+        // Early items sleep longest, so completion order is scrambled.
+        let out = fan_out(
+            3,
+            items,
+            || (),
+            |_, i| {
+                std::thread::sleep(Duration::from_micros(40 - i));
+                i * 2
+            },
+        );
+        let got: Vec<u64> = out.into_iter().map(|r| r.ok().unwrap()).collect();
+        assert_eq!(got, (0..40).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_out_isolates_a_panicking_item() {
+        for threads in [1, 2, 4] {
+            let inits = AtomicU64::new(0);
+            let out = fan_out(
+                threads,
+                (0..8u32).collect(),
+                || inits.fetch_add(1, Ordering::SeqCst),
+                |_, i| {
+                    if i == 5 {
+                        panic!("item 5 fails");
+                    }
+                    i + 100
+                },
+            );
+            assert_eq!(out.len(), 8);
+            for (i, r) in out.iter().enumerate() {
+                match r {
+                    Ok(v) => assert_eq!(*v as usize, i + 100, "threads {threads}"),
+                    Err(_) => assert_eq!(i, 5, "threads {threads}"),
+                }
+            }
+            assert!(out[5].is_err());
+            // One init per thread plus one rebuild after the panic.
+            assert!(inits.load(Ordering::SeqCst) <= threads as u64 + 1);
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_on_the_caller_without_spare_threads_or_items() {
+        let caller = std::thread::current().id();
+        let on_caller = |threads: usize, items: Vec<u32>| {
+            fan_out(threads, items, || (), |_, _| std::thread::current().id())
+                .into_iter()
+                .all(|r| r.ok() == Some(caller))
+        };
+        assert!(on_caller(1, vec![1, 2, 3]), "threads = 1");
+        assert!(on_caller(0, vec![1, 2, 3]), "threads = 0");
+        assert!(on_caller(8, vec![7]), "single item");
+        assert!(fan_out(4, Vec::<u32>::new(), || (), |_, i| i).is_empty());
+    }
+
+    #[test]
+    fn fan_out_with_more_threads_than_items() {
+        let out = fan_out(16, vec![3u32, 1, 2], || 10u32, |s, i| *s + i);
+        let got: Vec<u32> = out.into_iter().map(|r| r.ok().unwrap()).collect();
+        assert_eq!(got, vec![13, 11, 12]);
     }
 
     #[test]

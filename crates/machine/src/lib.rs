@@ -49,7 +49,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ds_closure::api::{build_parts, run_batch, run_batch_traced, SiteEvaluator};
+use ds_closure::api::{build_parts, run_batch_bounded, SiteEvaluator};
 use ds_closure::complementary::ComplementaryInfo;
 use ds_closure::planner::{ChainPlan, Planner};
 use ds_closure::updates::maintain;
@@ -310,16 +310,9 @@ impl Machine {
                 spans: &mut site_spans,
             }),
         };
-        let batch = match &obs {
-            Some(_) => run_batch_traced(
-                planner,
-                &mut eval,
-                requests,
-                &traces,
-                Some(&mut eval_traces),
-            ),
-            None => run_batch(planner, &mut eval, requests),
-        };
+        let sink = obs.as_ref().map(|_| &mut eval_traces);
+        let batch: BatchAnswer =
+            run_batch_bounded(planner, &mut eval, requests, &traces, sink, &[]).into();
         if let Some(&site) = failed.iter().next() {
             for &s in &failed {
                 self.respawn_site(s);
@@ -368,7 +361,7 @@ impl Machine {
         let mut batch = self.try_query_batch(&[QueryRequest::new(x, y)])?;
         match batch.answers.pop() {
             Some(a) => Ok(a),
-            None => unreachable!("run_batch returns one answer per request"),
+            None => unreachable!("run_batch_bounded returns one answer per request"),
         }
     }
 }
@@ -549,7 +542,7 @@ impl TcEngine for Machine {
         let mut batch = self.query_batch(&[QueryRequest::new(x, y)]);
         match batch.answers.pop() {
             Some(a) => a,
-            None => unreachable!("run_batch returns one answer per request"),
+            None => unreachable!("run_batch_bounded returns one answer per request"),
         }
     }
 

@@ -16,8 +16,8 @@
 //!   atomic [`LatencyHistogram`]s, exported point-in-time as JSON or
 //!   Prometheus text via [`MetricsSnapshot`];
 //! * [`Tracer`] — [`TraceId`]s minted at serve admission and threaded
-//!   through micro-batches, `run_batch`, the machine protocol, and
-//!   writer publication, yielding per-request [`RequestTrace`] span
+//!   through micro-batches, `run_batch_bounded`, the machine protocol,
+//!   and writer publication, yielding per-request [`RequestTrace`] span
 //!   sets plus a ring-buffered [`SlowQueryLog`];
 //! * [`WorkloadRecorder`] — a sharded, bounded sketch of per-vertex-pair
 //!   and per-fragment-pair query frequencies sampled from the serve hot

@@ -168,9 +168,10 @@ impl fmt::Display for RequestTrace {
     }
 }
 
-/// Per-request evaluation timing produced by a traced `run_batch`:
-/// total chain-program time plus per-chain segment times. Collected by
-/// `ds_closure` without knowing anything else about observability.
+/// Per-request evaluation timing produced by a traced
+/// `run_batch_bounded`: total chain-program time plus per-chain segment
+/// times. Collected by `ds_closure` without knowing anything else about
+/// observability.
 #[derive(Clone, Debug, Default)]
 pub struct EvalTrace {
     pub trace: TraceId,

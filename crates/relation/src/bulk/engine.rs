@@ -17,22 +17,21 @@
 //!    aggregation — "effectively a sequence of binary joins between a
 //!    number of very small relations" (§2.1).
 //!
-//! Workers run on a std-only pool (jobs queue + result channel, the
-//! `ds_serve` queue/worker idiom); with one thread the same rounds run
-//! inline, so the algorithm — and its output, tuple-identical to
-//! [`crate::tc::seminaive_closure`] — is independent of the thread
-//! count.
+//! Each round is one [`ds_fault::fan_out`] over the active fragments
+//! (the fragments share nothing within a round); with one thread the
+//! same rounds run on the caller. Deltas are routed in fragment order
+//! once the round is done, so the algorithm — its output, tuple-identical
+//! to [`crate::tc::seminaive_closure`], and its round and exchange
+//! counts — is independent of the thread count.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_fault::{lock_unpoisoned, wait_unpoisoned, FaultPlan, FaultPoint};
+use ds_fault::{FaultPlan, FaultPoint};
 use ds_fragment::Fragmentation;
 use ds_graph::{BitSet, Cost, NodeId, INFINITE_COST};
 
@@ -49,9 +48,9 @@ pub const DEFAULT_DENSE_LIMIT: usize = 512;
 /// Tuning knobs for one materialization run.
 #[derive(Clone, Debug)]
 pub struct MaterializeConfig {
-    /// Worker threads. `0` (the default) sizes the pool to
+    /// Worker threads. `0` (the default) uses
     /// `min(fragments, available_parallelism)`; `1` runs the identical
-    /// round structure inline, without spawning.
+    /// round structure on the calling thread, without spawning.
     pub threads: usize,
     /// Restrict the closure to paths starting in this set (the §2.1
     /// keyhole selection). `None` materializes the full closure.
@@ -101,10 +100,9 @@ impl MaterializeConfig {
 
 /// Errors of one materialization run.
 ///
-/// Returned, never panicked: in pool mode a panic would unwind the
-/// coordinator inside `std::thread::scope` while workers block on the
-/// job-queue condvar — the error path instead closes the queue first, so
-/// every worker observes the shutdown and joins cleanly.
+/// Returned, never panicked: a fragment round that panics is caught on
+/// its own thread, the round's other fragments finish, and every thread
+/// has joined before the error reaches the caller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MaterializeError {
     /// The exchange rounds hit [`MaterializeConfig::max_rounds`] without
@@ -113,12 +111,12 @@ pub enum MaterializeError {
         /// The configured round budget that was exhausted.
         max_rounds: usize,
     },
-    /// A worker panicked (or an injected fault killed it) while running
-    /// this fragment's round. The run is aborted, the queue closed, and
-    /// every surviving worker joined — the panic never crosses into the
+    /// A fragment round panicked (or an injected fault killed it). The
+    /// run is aborted after the round — the panic never crosses into the
     /// caller, and the engine stays usable for a fresh run.
     WorkerPanicked {
-        /// The fragment whose round was being evaluated.
+        /// The failed fragment; the lowest one when several failed in
+        /// the same round.
         fragment: usize,
     },
 }
@@ -319,7 +317,7 @@ impl Adjacency {
     }
 }
 
-/// One worker's accumulated result: the best known cost per (src, dst)
+/// One fragment's accumulated result: the best known cost per (src, dst)
 /// pair. The representation is the engine's hottest data structure —
 /// every candidate tuple does one `improves` check against it.
 enum BestTable {
@@ -379,11 +377,6 @@ impl BestTable {
     }
 }
 
-/// Mutable per-fragment run state, moved through the job queue.
-struct FragmentRun {
-    best: BestTable,
-}
-
 /// Counters one worker reports per round.
 #[derive(Default)]
 struct RoundCounters {
@@ -392,61 +385,6 @@ struct RoundCounters {
     kept_local: usize,
     inner_iters: usize,
     busy: Duration,
-}
-
-struct Job {
-    fid: usize,
-    state: FragmentRun,
-    inbox: Vec<PathTuple>,
-    seed_round: bool,
-}
-
-struct RoundResult {
-    fid: usize,
-    state: FragmentRun,
-    outgoing: Vec<PathTuple>,
-    counters: RoundCounters,
-}
-
-/// Unbounded FIFO job queue (`Mutex` + `Condvar`, the `ds_serve` worker
-/// idiom): `pop` blocks until a job arrives or the queue closes.
-struct JobQueue {
-    inner: Mutex<(VecDeque<Job>, bool)>,
-    not_empty: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            inner: Mutex::new((VecDeque::new(), false)),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        inner.0.push_back(job);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut inner = lock_unpoisoned(&self.inner);
-        loop {
-            if let Some(job) = inner.0.pop_front() {
-                return Some(job);
-            }
-            if inner.1 {
-                return None;
-            }
-            inner = wait_unpoisoned(&self.not_empty, inner);
-        }
-    }
-
-    fn close(&self) {
-        lock_unpoisoned(&self.inner).1 = true;
-        self.not_empty.notify_all();
-    }
 }
 
 /// Bulk materialization of the transitive closure over a fragmented
@@ -527,7 +465,7 @@ impl MaterializeEngine {
     ///
     /// Errors with [`MaterializeError::RoundLimit`] when
     /// [`MaterializeConfig::max_rounds`] trips before the global
-    /// fixpoint; in pool mode all worker threads have joined by then.
+    /// fixpoint; all worker threads have joined by then.
     pub fn materialize(&self) -> Result<(Relation<PathTuple>, MaterializeStats), MaterializeError> {
         let fragments = self.partition.fragment_count();
         let threads = self.effective_threads();
@@ -563,32 +501,26 @@ impl MaterializeEngine {
             })
             .collect();
 
-        let mut states: Vec<FragmentRun> = (0..fragments)
-            .map(|_| FragmentRun {
-                best: BestTable::new(self.partition.node_count(), self.config.dense_limit),
-            })
+        let mut tables: Vec<BestTable> = (0..fragments)
+            .map(|_| BestTable::new(self.partition.node_count(), self.config.dense_limit))
             .collect();
         let mut inner_totals = vec![0usize; fragments];
 
-        if threads <= 1 {
-            self.drive_inline(&mut states, &mut inboxes, &mut inner_totals, &mut stats)?;
-        } else {
-            self.drive_pool(
-                threads,
-                &mut states,
-                &mut inboxes,
-                &mut inner_totals,
-                &mut stats,
-            )?;
-        }
+        self.run_rounds(
+            threads,
+            &mut tables,
+            &mut inboxes,
+            &mut inner_totals,
+            &mut stats,
+        )?;
 
         // Final assembly: merge the per-fragment result tables with
         // min-cost aggregation.
         let n = self.partition.node_count();
         let rows: Vec<PathTuple> = if n <= self.config.dense_limit {
             let mut global = vec![INFINITE_COST; n * n];
-            for state in &states {
-                state.best.for_each(|src, dst, c| {
+            for best in &tables {
+                best.for_each(|src, dst, c| {
                     let slot = &mut global[src.index() * n + dst.index()];
                     if c < *slot {
                         *slot = c;
@@ -609,19 +541,17 @@ impl MaterializeEngine {
             rows
         } else {
             let mut global: PairMap = PairMap::default();
-            for state in &states {
-                state
-                    .best
-                    .for_each(|src, dst, c| match global.entry(pair_key(src, dst)) {
-                        Entry::Occupied(mut e) => {
-                            if c < *e.get() {
-                                e.insert(c);
-                            }
-                        }
-                        Entry::Vacant(e) => {
+            for best in &tables {
+                best.for_each(|src, dst, c| match global.entry(pair_key(src, dst)) {
+                    Entry::Occupied(mut e) => {
+                        if c < *e.get() {
                             e.insert(c);
                         }
-                    });
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert(c);
+                    }
+                });
             }
             let mut rows: Vec<PathTuple> = global
                 .into_iter()
@@ -641,179 +571,75 @@ impl MaterializeEngine {
         Ok((Relation::from_rows("tc", rows), stats))
     }
 
-    /// Round loop without threads — identical structure to the pool
-    /// (outgoing deltas are routed only after every active fragment has
-    /// finished the round).
-    fn drive_inline(
+    /// The round loop: fan the fragments with a non-empty inbox out over
+    /// `threads`, then absorb counters and route outgoing deltas in
+    /// fragment order (deliveries always land in the *next* round's
+    /// inbox), so rounds, exchange volume and per-round stats do not
+    /// depend on the thread count.
+    fn run_rounds(
         &self,
-        states: &mut [FragmentRun],
+        threads: usize,
+        tables: &mut [BestTable],
         inboxes: &mut [Vec<PathTuple>],
         inner_totals: &mut [usize],
         stats: &mut MaterializeStats,
     ) -> Result<(), MaterializeError> {
         loop {
-            let active: Vec<usize> = (0..states.len())
-                .filter(|&i| !inboxes[i].is_empty())
+            let work: Vec<(usize, &mut BestTable, Vec<PathTuple>)> = tables
+                .iter_mut()
+                .zip(inboxes.iter_mut())
+                .enumerate()
+                .filter(|(_, (_, inbox))| !inbox.is_empty())
+                .map(|(fid, (best, inbox))| (fid, best, std::mem::take(inbox)))
                 .collect();
-            if active.is_empty() {
-                break;
+            if work.is_empty() {
+                return Ok(());
             }
             self.check_round_guard(stats.rounds)?;
             let seed_round = stats.rounds == 0;
+            let active: Vec<usize> = work.iter().map(|&(fid, ..)| fid).collect();
             let mut round = RoundStats {
                 active_fragments: active.len(),
                 ..Default::default()
             };
-            let mut pending: Vec<(usize, Vec<PathTuple>)> = Vec::with_capacity(active.len());
-            for &fid in &active {
-                let inbox = std::mem::take(&mut inboxes[fid]);
-                // Same isolation as the pool: a panic (real or injected)
-                // aborts the run as a typed error instead of unwinding
-                // through the caller.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let outcomes = ds_fault::fan_out(
+                threads,
+                work,
+                || (),
+                |_, (fid, best, inbox)| {
                     let injected = ds_fault::fire(
                         &self.config.fault,
                         FaultPoint::BulkWorker { fragment: fid },
                     );
-                    (!injected).then(|| self.run_round(fid, &mut states[fid], inbox, seed_round))
-                }));
+                    (!injected).then(|| {
+                        // Move the table into this thread's frame for
+                        // the round: neighbouring tables' headers share
+                        // cache lines in `tables`, and a sparse table
+                        // writes its header on every insert.
+                        let mut own =
+                            std::mem::replace(best, BestTable::Sparse(PairMap::default()));
+                        let out = self.run_round(fid, &mut own, inbox, seed_round);
+                        *best = own;
+                        out
+                    })
+                },
+            );
+            for (fid, outcome) in active.into_iter().zip(outcomes) {
                 match outcome {
                     Ok(Some((outgoing, counters))) => {
                         self.absorb_counters(fid, &counters, inner_totals, stats, &mut round);
-                        pending.push((fid, outgoing));
+                        round.exchanged += self.router.route(fid, &outgoing, inboxes);
                     }
+                    // Outcomes are in fragment order: the first failure
+                    // is the lowest failed fragment, whatever the
+                    // thread count.
                     Ok(None) | Err(_) => {
                         return Err(MaterializeError::WorkerPanicked { fragment: fid });
                     }
                 }
             }
-            for (fid, outgoing) in pending {
-                round.exchanged += self.router.route(fid, &outgoing, inboxes);
-            }
             self.finish_round(round, stats);
         }
-        Ok(())
-    }
-
-    /// Round loop over the worker pool: per-fragment state moves through
-    /// the job queue, results come back over a channel, and the
-    /// coordinator routes each fragment's outgoing deltas as they
-    /// arrive (deliveries always land in the *next* round's inbox).
-    fn drive_pool(
-        &self,
-        threads: usize,
-        states: &mut Vec<FragmentRun>,
-        inboxes: &mut [Vec<PathTuple>],
-        inner_totals: &mut [usize],
-        stats: &mut MaterializeStats,
-    ) -> Result<(), MaterializeError> {
-        let queue = JobQueue::new();
-        // `Err(fid)` is the panic marker: the worker caught an unwind (or
-        // an injected kill) while evaluating fragment `fid` and stays
-        // alive for the next job; the coordinator aborts the run.
-        let (tx, rx) = mpsc::channel::<Result<RoundResult, usize>>();
-        let mut slots: Vec<Option<FragmentRun>> = states.drain(..).map(Some).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let queue = &queue;
-                scope.spawn(move || {
-                    while let Some(mut job) = queue.pop() {
-                        let fid = job.fid;
-                        let inbox = std::mem::take(&mut job.inbox);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let injected = ds_fault::fire(
-                                &self.config.fault,
-                                FaultPoint::BulkWorker { fragment: fid },
-                            );
-                            (!injected)
-                                .then(|| self.run_round(fid, &mut job.state, inbox, job.seed_round))
-                        }));
-                        let msg = match outcome {
-                            Ok(Some((outgoing, counters))) => Ok(RoundResult {
-                                fid,
-                                state: job.state,
-                                outgoing,
-                                counters,
-                            }),
-                            Ok(None) | Err(_) => Err(fid),
-                        };
-                        if tx.send(msg).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-
-            let outcome = loop {
-                let active: Vec<usize> = (0..slots.len())
-                    .filter(|&i| !inboxes[i].is_empty())
-                    .collect();
-                if active.is_empty() {
-                    break Ok(());
-                }
-                // The guard must *return* through the queue shutdown
-                // below, never panic: unwinding here would leave the
-                // workers blocked on the queue condvar and the scope
-                // join would hang.
-                if let Err(e) = self.check_round_guard(stats.rounds) {
-                    break Err(e);
-                }
-                let seed_round = stats.rounds == 0;
-                let mut round = RoundStats {
-                    active_fragments: active.len(),
-                    ..Default::default()
-                };
-                for &fid in &active {
-                    queue.push(Job {
-                        fid,
-                        state: slots[fid].take().expect("state checked in"),
-                        inbox: std::mem::take(&mut inboxes[fid]),
-                        seed_round,
-                    });
-                }
-                let mut failure = None;
-                for _ in 0..active.len() {
-                    // The coordinator retains a sender clone, so the
-                    // channel cannot disconnect while it still expects
-                    // results.
-                    let msg = match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => unreachable!("coordinator holds a sender"),
-                    };
-                    match msg {
-                        Ok(result) => {
-                            self.absorb_counters(
-                                result.fid,
-                                &result.counters,
-                                inner_totals,
-                                stats,
-                                &mut round,
-                            );
-                            round.exchanged +=
-                                self.router.route(result.fid, &result.outgoing, inboxes);
-                            slots[result.fid] = Some(result.state);
-                        }
-                        Err(fragment) => {
-                            failure = Some(MaterializeError::WorkerPanicked { fragment });
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = failure {
-                    break Err(e);
-                }
-                self.finish_round(round, stats);
-            };
-            // Wake every parked worker; leaving the scope then joins
-            // them — on the fixpoint and the round-limit path alike.
-            queue.close();
-            outcome
-        })?;
-
-        states.extend(slots.into_iter().map(|s| s.expect("all rounds completed")));
-        Ok(())
     }
 
     fn check_round_guard(&self, rounds: usize) -> Result<(), MaterializeError> {
@@ -860,7 +686,7 @@ impl MaterializeEngine {
     fn run_round(
         &self,
         fid: usize,
-        state: &mut FragmentRun,
+        best: &mut BestTable,
         inbox: Vec<PathTuple>,
         seed_round: bool,
     ) -> (Vec<PathTuple>, RoundCounters) {
@@ -893,7 +719,7 @@ impl MaterializeEngine {
         }
         let mut delta: Vec<PathTuple> = Vec::with_capacity(inbox.len());
         for t in inbox {
-            if state.best.improves(t.src, t.dst, t.cost) {
+            if best.improves(t.src, t.dst, t.cost) {
                 counters.improved += 1;
                 if seed_round && !offer(&mut outgoing, pair_key(t.src, t.dst), t.dst, t.cost) {
                     counters.kept_local += 1;
@@ -909,7 +735,7 @@ impl MaterializeEngine {
                 for &(dst, cost) in adjacency.out(t.dst) {
                     counters.generated += 1;
                     let total = t.cost + cost;
-                    if state.best.improves(t.src, dst, total) {
+                    if best.improves(t.src, dst, total) {
                         counters.improved += 1;
                         let key = pair_key(t.src, dst);
                         if !offer(&mut outgoing, key, dst, total) {
@@ -1053,6 +879,11 @@ mod tests {
         assert_eq!(single.threads, 1);
         assert_eq!(pooled.threads, 3);
         assert_eq!(single.tc.result_tuples, pooled.tc.result_tuples);
+        // Deltas are routed in fragment order after each round, so the
+        // exchange itself is thread-count independent too.
+        assert_eq!(single.rounds, pooled.rounds);
+        assert_eq!(single.exchanged_tuples, pooled.exchanged_tuples);
+        assert_eq!(single.per_round, pooled.per_round);
     }
 
     #[test]
@@ -1116,11 +947,9 @@ mod tests {
         assert!(err.to_string().contains("max_rounds = 1"), "{err}");
     }
 
-    /// Pool mode: the round limit must come back as an error with every
-    /// worker joined — a panicking guard used to unwind the coordinator
-    /// inside `thread::scope` while workers stayed parked on the queue
-    /// condvar. `materialize` returning at all (rather than hanging on
-    /// the scope join) plus a clean re-run proves the shutdown.
+    /// Two threads: the round limit must come back as an error with
+    /// every thread joined. `materialize` returning at all plus a clean
+    /// re-run proves the shutdown.
     #[test]
     fn round_guard_joins_pool_workers_cleanly() {
         let engine = MaterializeEngine::from_fragmentation(
@@ -1137,7 +966,7 @@ mod tests {
             MaterializeError::RoundLimit { max_rounds: 1 }
         );
         // The engine stays usable: a fresh run with an adequate budget
-        // converges on the same pool configuration.
+        // converges on the same thread configuration.
         let engine = MaterializeEngine::from_fragmentation(
             &path_split(),
             true,
@@ -1151,10 +980,9 @@ mod tests {
         assert!(stats.rounds >= 2);
     }
 
-    /// Pool mode: a worker panic mid-round must come back as a typed
-    /// error with every thread joined (returning at all proves the scope
-    /// join did not hang), and a fault-free run on a fresh engine over
-    /// the same partition still converges.
+    /// Two threads: a panic mid-round must come back as a typed error
+    /// with every thread joined, and a fault-free run on a fresh engine
+    /// over the same partition still converges.
     #[test]
     fn pool_worker_panic_is_a_typed_error_with_clean_joins() {
         let plan = FaultPlan::new().panic_at(FaultPoint::BulkWorker { fragment: 0 }, 1);
@@ -1174,8 +1002,9 @@ mod tests {
         assert_matches_seminaive(&path_split(), true, MaterializeConfig::with_threads(2));
     }
 
-    /// Inline mode gives the identical typed error — the isolation is
-    /// mode-independent. `Fail` (silent death) behaves like a panic.
+    /// One thread gives the identical typed error — the isolation does
+    /// not depend on the thread count. `Fail` (silent death) behaves like
+    /// a panic.
     #[test]
     fn inline_worker_fault_is_a_typed_error() {
         let plan = FaultPlan::new().fail_at(FaultPoint::BulkWorker { fragment: 1 }, 1);
@@ -1194,5 +1023,39 @@ mod tests {
         // The rule is one-shot: a retry on the same engine converges.
         let (closure, _) = engine.materialize().unwrap();
         assert!(!closure.is_empty());
+    }
+
+    /// Two fragments failing in the same round report the lower id,
+    /// whichever thread ran which fragment.
+    #[test]
+    fn two_failures_in_one_round_report_the_lowest_fragment() {
+        let frag = Fragmentation::new(
+            7,
+            vec![
+                edges(&[(0, 1, 2), (1, 2, 3)]),
+                edges(&[(2, 3, 1), (3, 4, 4)]),
+                edges(&[(4, 5, 2), (5, 6, 1), (6, 0, 5)]),
+            ],
+            vec![vec![], vec![], vec![]],
+        );
+        for threads in [1, 2] {
+            let plan = FaultPlan::new()
+                .panic_at(FaultPoint::BulkWorker { fragment: 2 }, 1)
+                .panic_at(FaultPoint::BulkWorker { fragment: 1 }, 1);
+            let engine = MaterializeEngine::from_fragmentation(
+                &frag,
+                true,
+                MaterializeConfig {
+                    threads,
+                    fault: Some(Arc::new(plan)),
+                    ..Default::default()
+                },
+            );
+            assert_eq!(
+                engine.materialize().unwrap_err(),
+                MaterializeError::WorkerPanicked { fragment: 1 },
+                "threads {threads}"
+            );
+        }
     }
 }

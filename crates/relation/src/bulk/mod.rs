@@ -14,10 +14,9 @@
 //!   ([`FragmentPartition`]).
 //! - [`exchange`] — route border-crossing delta tuples to the fragments
 //!   that can extend them, and only those ([`ExchangeRouter`]).
-//! - [`engine`] — per-fragment semi-naive fixpoint workers on a
-//!   std-only thread pool, synchronized in exchange rounds until the
-//!   global fixpoint, then a final min-cost assembly
-//!   ([`MaterializeEngine`]).
+//! - [`engine`] — per-fragment semi-naive fixpoints, fanned out over
+//!   threads once per exchange round until the global fixpoint, then a
+//!   final min-cost assembly ([`MaterializeEngine`]).
 //!
 //! The result is **tuple-identical** to running
 //! [`crate::tc::seminaive_closure`] on the union of all fragments — the

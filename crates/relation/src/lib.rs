@@ -33,6 +33,8 @@
 //! assert!(stats.iterations <= 2);
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bulk;
 pub mod join;
 pub mod relation;

@@ -22,7 +22,7 @@
 //!              (sheds at capacity)      │  micro-batch: coalesce
 //!                                       │  duplicates, probe answer
 //!                                       │  cache, group misses by
-//!                                       │  fragment pair, run_batch
+//!                                       │  fragment pair, run_batch_bounded
 //!                                       ▼
 //!              answer cache ◄──► Arc<EngineSnapshot>   (epoch N)
 //!              (per epoch)               ▲
@@ -58,8 +58,8 @@
 //!   [`ServeConfig::batch_max`]) in one lock acquisition, coalesces
 //!   identical requests (single-flight), sorts the distinct cache misses
 //!   by fragment pair and feeds them to the shared batch kernel
-//!   (`ds_closure::api::run_batch`), which plans each fragment pair once
-//!   and evaluates interior chain segments once per chain. Queue depth
+//!   (`ds_closure::api::run_batch_bounded`), which plans each fragment
+//!   pair once and evaluates interior chain segments once per chain. Queue depth
 //!   converts directly into amortization — the busier the server, the
 //!   cheaper the average query.
 //! * **Load shedding.** The bounded queue never blocks producers: at

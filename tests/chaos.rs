@@ -1,6 +1,6 @@
 //! Chaos property suite: deterministic seed-driven fault sweeps over
 //! the three supervised tiers (serve pool, machine sites, bulk
-//! materialization pool).
+//! materialization rounds).
 //!
 //! Every scenario is derived from a seed by [`FaultScenario::from_seed`]
 //! and armed through the same `ds_fault` hooks production code carries
@@ -409,8 +409,8 @@ fn bulk_chaos(seed: u64) {
     } else {
         FaultPlan::new().fail_at(point, 1)
     };
-    // Even seeds exercise the thread pool, odd seeds the inline driver:
-    // the isolation contract is mode-independent.
+    // Even seeds run the rounds on two threads, odd seeds on the caller:
+    // the isolation contract does not depend on the thread count.
     let threads = if seed.is_multiple_of(2) { 2 } else { 1 };
     let engine = MaterializeEngine::from_fragmentation(
         &frag,

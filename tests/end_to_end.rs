@@ -8,7 +8,6 @@
 
 use discset::closure::baseline;
 use discset::closure::engine::{DisconnectionSetEngine, EngineConfig};
-use discset::closure::executor::ExecutionMode;
 use discset::fragment::bond_energy::{bond_energy, BondEnergyConfig, SplitRule};
 use discset::fragment::center::{center_based, CenterConfig, CenterSelection, Growth};
 use discset::fragment::linear::{linear_sweep, LinearConfig};
@@ -106,23 +105,14 @@ fn fragmenters(g: &GeneratedGraph) -> Vec<(&'static str, Fragmentation)> {
 /// `System` facade from one fragmentation.
 fn backends(g: &GeneratedGraph, frag: &Fragmentation) -> Vec<(&'static str, System)> {
     let mut out = Vec::new();
-    for (name, backend, mode) in [
-        ("inline-seq", Backend::Inline, ExecutionMode::Sequential),
-        ("inline-par", Backend::Inline, ExecutionMode::Parallel),
-        (
-            "site-threads",
-            Backend::SiteThreads,
-            ExecutionMode::Sequential,
-        ),
+    for (name, backend) in [
+        ("inline", Backend::Inline),
+        ("site-threads", Backend::SiteThreads),
     ] {
         let sys = System::builder()
             .graph(g)
             .fragmenter(Fragmenter::Prebuilt(frag.clone()))
             .backend(backend)
-            .config(EngineConfig {
-                mode,
-                ..EngineConfig::default()
-            })
             .build()
             .unwrap();
         out.push((name, sys));

@@ -8,7 +8,6 @@
 
 use discset::closure::baseline;
 use discset::closure::engine::{DisconnectionSetEngine, EngineConfig};
-use discset::closure::executor::ExecutionMode;
 use discset::fragment::center::{center_based, CenterConfig};
 use discset::fragment::linear::{linear_sweep, LinearConfig};
 use discset::gen::{
@@ -170,11 +169,11 @@ fn engine_matches_global_dijkstra() {
     }
 }
 
-/// Backend equivalence: every `TcEngine` implementation — inline
-/// (sequential and parallel phase one) and the site-thread machine —
-/// answers random queries identically to the centralized baseline, via
-/// both the single-query and the batch path, across generators ×
-/// fragmenters. This is the contract that makes backends swappable.
+/// Backend equivalence: every `TcEngine` implementation — inline and the
+/// site-thread machine — answers random queries identically to the
+/// centralized baseline, via both the single-query and the batch path,
+/// across generators × fragmenters. This is the contract that makes
+/// backends swappable.
 #[test]
 fn all_backends_match_baseline_on_random_workloads() {
     for seed in 0..12 {
@@ -229,26 +228,18 @@ fn all_backends_match_baseline_on_random_workloads() {
             });
         }
         for fragmenter in fragmenters {
-            for (backend, mode) in [
-                (Backend::Inline, ExecutionMode::Sequential),
-                (Backend::Inline, ExecutionMode::Parallel),
-                (Backend::SiteThreads, ExecutionMode::Sequential),
-            ] {
+            for backend in [Backend::Inline, Backend::SiteThreads] {
                 let mut sys = System::builder()
                     .graph(&g)
                     .fragmenter(fragmenter.clone())
                     .backend(backend)
-                    .config(EngineConfig {
-                        mode,
-                        ..EngineConfig::default()
-                    })
                     .build()
                     .unwrap();
                 for &(x, y) in &queries {
                     assert_eq!(
                         sys.shortest_path(x, y).cost,
                         baseline::shortest_path_cost(&csr, x, y),
-                        "seed {seed}, {}/{mode:?}, {x}->{y}",
+                        "seed {seed}, {}, {x}->{y}",
                         sys.backend_name()
                     );
                 }
