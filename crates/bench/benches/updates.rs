@@ -3,7 +3,7 @@
 //! The paper's acknowledged weakness is "the careful treatment of
 //! updates" (§2.1). This bench quantifies what incremental maintenance
 //! buys: a mixed delete/insert workload applied through the engine's
-//! affected-set repair (`ds_closure::updates::maintain`) against the
+//! affected-set repair (`EngineSnapshot::maintain`) against the
 //! naive strategy of recomputing the complementary information after
 //! every update, on the transportation and spatial (general random)
 //! generators.

@@ -5,6 +5,8 @@
 //! cargo run --release -p ds-bench --bin repro -- table1 [seeds]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ds_bench::experiments::{ablation, figures, iters, phe_exp, render_rows, speedup, tables};
 use ds_bench::table::{f1, f2, render};
 use ds_bench::DEFAULT_SEEDS;

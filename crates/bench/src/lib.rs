@@ -20,6 +20,8 @@
 //! The drivers return structured rows (so integration tests can assert the
 //! paper's *shape* claims) and the binary renders them as tables.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;
 pub mod table;

@@ -195,6 +195,19 @@ pub trait TcEngine {
 /// to tell shortcut hops apart during route expansion.
 pub type RealHopSet = HashSet<(NodeId, NodeId, Cost)>;
 
+/// The real hops of one site's fragment tuples (both directions on a
+/// symmetric network).
+pub(crate) fn real_hop_set(edges: &[Edge], symmetric: bool) -> RealHopSet {
+    let mut hops = HashSet::with_capacity(edges.len() * 2);
+    for e in edges {
+        hops.insert((e.src, e.dst, e.cost));
+        if symmetric && !e.is_loop() {
+            hops.insert((e.dst, e.src, e.cost));
+        }
+    }
+    hops
+}
+
 /// The shared pre-processing outcome both backends deploy from: the
 /// paper's complementary information, the per-site augmented graphs, the
 /// real (non-shortcut) hops per site, and the chain planner.
@@ -245,14 +258,7 @@ pub fn build_parts(
             symmetric,
             comp.shortcuts(f.id()),
         )));
-        let mut hops = HashSet::with_capacity(f.edges().len() * 2);
-        for e in f.edges() {
-            hops.insert((e.src, e.dst, e.cost));
-            if symmetric {
-                hops.insert((e.dst, e.src, e.cost));
-            }
-        }
-        real_hops.push(Arc::new(hops));
+        real_hops.push(Arc::new(real_hop_set(f.edges(), symmetric)));
     }
     let planner = Arc::new(Planner::new(
         frag,
@@ -271,9 +277,11 @@ pub fn build_parts(
 /// Validate a [`NetworkUpdate`] against `frag` and apply its structural
 /// half, shared by every backend: mutate the owner fragment and return
 /// the rebuilt global closure graph (`None` when a removal matched
-/// nothing). Backends follow up through `crate::updates::maintain` —
-/// the inline engine patches its shortcut tables and augmented graphs,
-/// the machine ships `Delta` messages to the touched sites.
+/// nothing). `crate::updates::maintain` calls it, behind
+/// [`EngineSnapshot::maintain_cow`]: the one update path every backend's
+/// snapshot goes through. The snapshot then patches its shortcut tables
+/// and the touched sites' augmented graphs; the machine also ships
+/// `Delta` messages to those sites.
 ///
 /// Update maintenance assumes the partition invariant the fragmenters
 /// guarantee (see `Fragmentation::validate`): the closure graph equals

@@ -44,6 +44,8 @@
 //! assert_eq!(answer.cost, Some(11)); // corner to corner of the grid
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod assemble;
 pub mod baseline;
@@ -66,4 +68,4 @@ pub use complementary::{
 pub use engine::{DisconnectionSetEngine, EngineConfig, QueryAnswer, QueryStats, Route};
 pub use error::ClosureError;
 pub use snapshot::{CowMaintenance, EngineSnapshot};
-pub use updates::{ConnectivityEffect, FallbackReason, UpdateBatchReport, UpdateReport};
+pub use updates::{FallbackReason, UpdateBatchReport, UpdateReport};

@@ -14,12 +14,16 @@
 //! * every query method takes `&self` plus a caller-owned
 //!   [`ScratchDijkstra`], so concurrent readers never contend;
 //! * updates go through [`EngineSnapshot::maintain`], which mutates in
-//!   place — an exclusive owner (the inline engine, the serve writer
-//!   thread working on a private clone) applies the incremental
-//!   maintenance of [`crate::updates`] and republishes.
+//!   place — an exclusive owner (the inline engine, the machine
+//!   coordinator, the serve writer thread working on a private clone)
+//!   applies the incremental maintenance of [`crate::updates`] and
+//!   republishes.
 //!
-//! [`crate::engine::DisconnectionSetEngine`] is now a thin wrapper:
-//! one snapshot plus one persistent scratch.
+//! Every owner of engine state holds exactly one snapshot: the inline
+//! [`crate::engine::DisconnectionSetEngine`] (plus one scratch), the
+//! `ds_machine` coordinator (plus its site threads, which own by-value
+//! copies of their fragment and shortcut table), and the `ds_serve`
+//! writer (a private working copy it republishes per epoch).
 //!
 //! ## Structural sharing
 //!
@@ -35,7 +39,7 @@
 //! `tests/properties.rs` asserts `Arc::ptr_eq` for untouched sites across
 //! consecutive epochs on both fragmenter families.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ds_fragment::{FragmentId, Fragmentation};
@@ -43,8 +47,8 @@ use ds_graph::{Cost, CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 use ds_relation::{PathTuple, Relation};
 
 use crate::api::{
-    build_parts, run_batch_bounded, BatchAnswer, EngineParts, NetworkUpdate, QueryRequest,
-    RealHopSet, SiteEvaluator,
+    build_parts, real_hop_set, run_batch_bounded, BatchAnswer, EngineParts, NetworkUpdate,
+    QueryRequest, RealHopSet, SiteEvaluator,
 };
 use crate::assemble;
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
@@ -119,7 +123,8 @@ pub struct CowMaintenance {
 
 impl EngineSnapshot {
     /// Build a snapshot from scratch: runs the shared build path
-    /// ([`build_parts`]) and assembles the per-site real-hop sets.
+    /// ([`build_parts`]) and wraps its output with
+    /// [`EngineSnapshot::from_parts`].
     pub fn build(
         graph: CsrGraph,
         frag: Fragmentation,
@@ -152,55 +157,6 @@ impl EngineSnapshot {
             augmented: parts.augmented,
             real_hops: parts.real_hops,
             planner: parts.planner,
-            reach,
-            source_backend,
-        }
-    }
-
-    /// Assemble a snapshot from retained coordinator state (graph,
-    /// fragmentation, complementary tables, planner), rebuilding the
-    /// augmented graphs and real-hop sets. This is how the machine
-    /// backend — whose sites own their augmented graphs — produces a
-    /// snapshot without re-running the precompute. The coordinator hands
-    /// over `Arc` handles, so the whole-graph pieces are shared with the
-    /// machine rather than copied.
-    ///
-    /// `reach` is the caller's reachability index over `graph`, shared
-    /// rather than rebuilt when it has one; pass `None` to build it here
-    /// (gated on [`EngineConfig::reach_index`]).
-    #[allow(clippy::too_many_arguments)] // mirrors the retained coordinator state
-    pub fn assemble(
-        graph: Arc<CsrGraph>,
-        frag: Arc<Fragmentation>,
-        symmetric: bool,
-        cfg: EngineConfig,
-        comp: ComplementaryInfo,
-        planner: Arc<Planner>,
-        reach: Option<Arc<ReachIndex>>,
-        source_backend: &'static str,
-    ) -> Self {
-        let n = graph.node_count();
-        let mut augmented = Vec::with_capacity(frag.fragment_count());
-        let mut real_hops = Vec::with_capacity(frag.fragment_count());
-        for f in frag.fragments() {
-            augmented.push(Arc::new(augmented_graph(
-                n,
-                f.edges(),
-                symmetric,
-                comp.shortcuts(f.id()),
-            )));
-            real_hops.push(Arc::new(real_hop_set(f.edges(), symmetric)));
-        }
-        let reach = reach.or_else(|| cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph))));
-        EngineSnapshot {
-            graph,
-            frag,
-            symmetric,
-            cfg,
-            comp,
-            augmented,
-            real_hops,
-            planner,
             reach,
             source_backend,
         }
@@ -316,8 +272,9 @@ impl EngineSnapshot {
 
     /// Rebuild the reachability index if it is enabled but stale
     /// (linear in the graph). Owners call this eagerly after updates —
-    /// the inline engine per update, the serve writer once per write
-    /// batch before publishing — so readers never pay the rebuild.
+    /// the inline engine and the machine coordinator per update, the
+    /// serve writer once per write batch before publishing — so readers
+    /// never pay the rebuild.
     /// Returns whether a fresh index is now present.
     pub fn ensure_reach(&mut self) -> bool {
         if self.cfg.reach_index && self.reach.is_none() {
@@ -409,15 +366,22 @@ impl EngineSnapshot {
     /// search, no Dijkstra sweep, `scratch` untouched. Falls back to
     /// the shortest-path machinery when the index is disabled or stale.
     pub fn connected(&self, x: NodeId, y: NodeId, scratch: &mut ScratchDijkstra) -> bool {
+        self.reach_probe(x, y)
+            .unwrap_or_else(|| self.shortest_path(x, y, scratch).cost.is_some())
+    }
+
+    /// The connection answer when it can be read without a sweep: `x ==
+    /// y`, or a fresh reachability index that covers both endpoints.
+    /// `None` otherwise; each caller then falls back its own way (a
+    /// shortest-path query here, through the sites on the machine,
+    /// through the queue on the serve tier).
+    pub fn reach_probe(&self, x: NodeId, y: NodeId) -> Option<bool> {
         if x == y {
-            return true;
+            return Some(true);
         }
-        if let Some(reach) = &self.reach {
-            if x.index() < reach.node_count() && y.index() < reach.node_count() {
-                return reach.reaches(x, y);
-            }
-        }
-        self.shortest_path(x, y, scratch).cost.is_some()
+        let reach = self.reach.as_ref()?;
+        (x.index() < reach.node_count() && y.index() < reach.node_count())
+            .then(|| reach.reaches(x, y))
     }
 
     /// Answer many shortest-path requests on `scratch`, amortizing chain
@@ -549,7 +513,7 @@ impl EngineSnapshot {
     // --- maintenance (exclusive owner only) ----------------------------
 
     /// Apply a network update in place, keeping answers exact afterwards:
-    /// runs the shared maintenance path ([`crate::updates::maintain`]),
+    /// runs the shared maintenance path (`crate::updates::maintain`),
     /// then refreshes the touched sites' augmented graphs and the owner's
     /// real-hop set. See [`EngineSnapshot::maintain_cow`] for the variant
     /// that also reports *which* sites were touched.
@@ -609,8 +573,7 @@ impl EngineSnapshot {
                 reach_kept,
             });
         };
-        let mut sites: std::collections::BTreeSet<FragmentId> =
-            m.shortcut_sites.iter().copied().collect();
+        let mut sites: BTreeSet<FragmentId> = m.shortcut_sites.iter().copied().collect();
         sites.insert(owner);
         for &f in &sites {
             // A fresh Arc per touched site; untouched sites keep sharing
@@ -634,17 +597,6 @@ impl EngineSnapshot {
             reach_kept,
         })
     }
-}
-
-fn real_hop_set(edges: &[ds_graph::Edge], symmetric: bool) -> RealHopSet {
-    let mut hops = HashSet::with_capacity(edges.len() * 2);
-    for e in edges {
-        hops.insert((e.src, e.dst, e.cost));
-        if symmetric && !e.is_loop() {
-            hops.insert((e.dst, e.src, e.cost));
-        }
-    }
-    hops
 }
 
 /// Site evaluation for snapshot-backed (and inline-engine) batches:
@@ -755,47 +707,6 @@ mod tests {
                 );
                 assert_eq!(*got, want, "thread {t} query {i}");
             }
-        }
-    }
-
-    #[test]
-    fn assemble_equals_from_parts() {
-        let g = grid(8, 3);
-        let frag = linear_sweep(
-            &g.edge_list(),
-            &LinearConfig {
-                fragments: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .fragmentation;
-        let cfg = EngineConfig::default();
-        let built =
-            EngineSnapshot::build(g.closure_graph(), frag.clone(), true, cfg.clone()).unwrap();
-        let assembled = EngineSnapshot::assemble(
-            Arc::new(g.closure_graph()),
-            Arc::new(frag),
-            true,
-            cfg,
-            built.complementary().clone(),
-            Arc::clone(built.planner_handle()),
-            None,
-            "site-threads",
-        );
-        assert_eq!(assembled.source_backend(), "site-threads");
-        assert!(
-            assembled.reach_index().is_some(),
-            "assemble builds the index when the caller has none"
-        );
-        let mut s1 = ScratchDijkstra::new();
-        let mut s2 = ScratchDijkstra::new();
-        for (x, y) in [(0u32, 23u32), (5, 17), (12, 12), (23, 0)] {
-            assert_eq!(
-                built.shortest_path(n(x), n(y), &mut s1).cost,
-                assembled.shortest_path(n(x), n(y), &mut s2).cost,
-                "query {x}->{y}"
-            );
         }
     }
 

@@ -39,11 +39,12 @@
 //!   tuples must then be *dropped*, not re-costed, which is the
 //!   recompute's job.
 //!
-//! [`maintain`] is the shared maintenance path: both backends (the inline
-//! engine and the message-passing machine) drive their updates through
-//! it, so both produce identical [`UpdateReport`] accounting; the machine
-//! additionally turns the returned touched-site set into `Delta` messages
-//! (see `ds_machine::protocol`).
+//! `maintain` is the maintenance path behind
+//! [`crate::snapshot::EngineSnapshot::maintain_cow`], its only caller.
+//! Every backend holds its engine state as one snapshot and updates it
+//! there, so every backend produces the same [`UpdateReport`]
+//! accounting; the machine coordinator also turns the snapshot's
+//! touched-site set into `Delta` messages (see `ds_machine::protocol`).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -67,8 +68,8 @@ pub enum FallbackReason {
     Disconnected,
 }
 
-/// Outcome of one update, with the accounting both backends populate
-/// through the shared [`maintain`] path.
+/// Outcome of one update, with the accounting every backend populates
+/// through the shared `maintain` path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Shortcut tuples whose cost improved (insert maintenance).
@@ -98,6 +99,13 @@ impl UpdateReport {
             sites_touched: 0,
             tuples_shipped: 0,
         }
+    }
+
+    /// Whether the update changed the engine state: it touched a site or
+    /// forced a full recompute. Only a changed update advances an epoch
+    /// (serve writer, WAL replay); a structural no-op leaves it as is.
+    pub fn changed(&self) -> bool {
+        self.sites_touched > 0 || self.full_recompute
     }
 }
 
@@ -136,9 +144,8 @@ impl UpdateBatchReport {
 
 /// How one update could have affected the *reachability* relation —
 /// the structural facts a reachability-index owner needs to decide
-/// keep-vs-rebuild without recomputing anything. [`maintain`] reports
-/// them; the owners (`EngineSnapshot::maintain_cow`, the machine
-/// coordinator) apply the rules:
+/// keep-vs-rebuild without recomputing anything. `maintain` reports
+/// them; `EngineSnapshot::maintain_cow` applies the rules:
 ///
 /// * `Unchanged` — keep the index as-is;
 /// * `Inserted` — keep iff the index already answers `src` reaches
@@ -147,7 +154,7 @@ impl UpdateBatchReport {
 /// * `Removed` — keep iff `parallel_remains`: a surviving parallel
 ///   connection carries every path the removed one did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConnectivityEffect {
+pub(crate) enum ConnectivityEffect {
     /// No structural change (no-op removal).
     Unchanged,
     /// A connection `src -> dst` was inserted (plus `dst -> src` on
@@ -160,11 +167,10 @@ pub enum ConnectivityEffect {
     Removed { parallel_remains: bool },
 }
 
-/// What a backend must do after [`maintain`] returns: refresh the listed
-/// sites. The inline engine rebuilds their augmented graphs; the machine
-/// ships them `Delta` messages.
+/// What the snapshot must do after `maintain` returns: refresh the
+/// listed sites' augmented graphs and apply the reach-index rule.
 #[derive(Clone, Debug)]
-pub struct Maintenance {
+pub(crate) struct Maintenance {
     pub report: UpdateReport,
     /// Sites whose shortcut tables changed (all sites after a fallback).
     pub shortcut_sites: Vec<FragmentId>,
@@ -216,10 +222,9 @@ impl Maintenance {
 
 /// The shared maintenance path: validate and apply the structural change,
 /// then keep `comp` exact — incrementally when possible, by full
-/// recompute otherwise. Both backends call this with their retained
-/// state (including a persistent `scratch` that the deletion repair
-/// sweeps reuse); they differ only in how they act on the returned
-/// touched sites.
+/// recompute otherwise. `EngineSnapshot::maintain_cow` calls this with
+/// its state (and a persistent `scratch` that the deletion repair sweeps
+/// reuse), then refreshes the returned touched sites.
 ///
 /// `graph` and `frag` are owned through [`Arc`] handles: a caller whose
 /// state is shared with published snapshots (the serve writer's working
@@ -227,7 +232,7 @@ impl Maintenance {
 /// the rebuilt global graph gets a fresh `Arc`, the fragmentation is
 /// detached via [`Arc::make_mut`] once per shared epoch, and `comp`
 /// detaches per-site tables internally the same way.
-pub fn maintain(
+pub(crate) fn maintain(
     graph: &mut Arc<CsrGraph>,
     frag: &mut Arc<Fragmentation>,
     symmetric: bool,

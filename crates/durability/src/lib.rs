@@ -38,6 +38,7 @@
 //! the write after N bytes, or kill the writer outright — the chaos
 //! suite's kill-and-restart sweeps are built on these.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
@@ -972,38 +973,61 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, DurabilityError> {
     let image = image.ok_or_else(|| DurabilityError::NoCheckpoint {
         dir: dir.to_path_buf(),
     })?;
-    let checkpoint_lsn = image.lsn;
-    let mut epoch = image.epoch;
+    let (checkpoint_lsn, epoch) = (image.lsn, image.epoch);
     let mut snapshot = image.build_snapshot()?;
-
     let scan = scan_wal(dir)?;
-    let mut scratch = ScratchDijkstra::new();
-    let mut replayed = 0usize;
-    let mut last_lsn = checkpoint_lsn;
-    for rec in &scan.records {
-        if rec.lsn <= checkpoint_lsn {
-            continue;
-        }
-        // Replay mirrors the writer: apply, bump the epoch only when the
-        // update was effective, and ignore per-update errors (the writer
-        // acknowledged those as errors without applying anything).
-        if let Ok(report) = snapshot.maintain(&rec.update, &mut scratch) {
-            if report.sites_touched > 0 || report.full_recompute {
-                epoch += 1;
-            }
-        }
-        last_lsn = rec.lsn;
-        replayed += 1;
-    }
-    snapshot.ensure_reach();
+    let replayed = replay(&mut snapshot, &scan.records, checkpoint_lsn);
     Ok(Recovered {
         snapshot,
-        epoch,
+        epoch: epoch + replayed.changed,
         checkpoint_lsn,
-        last_lsn,
-        replayed,
+        last_lsn: replayed.last_lsn,
+        replayed: replayed.records,
         truncated: scan.truncated,
     })
+}
+
+/// What one [`replay`] did.
+#[derive(Clone, Copy, Debug)]
+pub struct Replayed {
+    /// Records replayed (changed, no-op or erring alike).
+    pub records: usize,
+    /// Records whose update changed the state: the epochs to advance.
+    pub changed: u64,
+    /// The last replayed record's LSN (`after` when none).
+    pub last_lsn: u64,
+}
+
+/// Replay every record with `lsn > after` onto `snapshot`, in order, then
+/// rebuild a dropped reachability index once. This mirrors the serve
+/// writer: an update counts as changed only when its report says so
+/// ([`UpdateReport::changed`](ds_closure::UpdateReport::changed)), and a
+/// per-update error is skipped — the writer acknowledged it as an error
+/// without applying anything. [`recover`] and the serve writer's redo
+/// after a restart both replay through here.
+pub fn replay<'a>(
+    snapshot: &mut EngineSnapshot,
+    records: impl IntoIterator<Item = &'a WalRecord>,
+    after: u64,
+) -> Replayed {
+    let mut scratch = ScratchDijkstra::new();
+    let mut out = Replayed {
+        records: 0,
+        changed: 0,
+        last_lsn: after,
+    };
+    for rec in records.into_iter().filter(|r| r.lsn > after) {
+        if snapshot
+            .maintain(&rec.update, &mut scratch)
+            .is_ok_and(|report| report.changed())
+        {
+            out.changed += 1;
+        }
+        out.last_lsn = rec.lsn;
+        out.records += 1;
+    }
+    snapshot.ensure_reach();
+    out
 }
 
 // ----------------------------------------------------------------- tests

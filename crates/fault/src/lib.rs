@@ -27,6 +27,7 @@
 //! seed so a test can sweep seeds and cover every scenario kind without
 //! enumerating them by hand.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::HashMap;

@@ -36,6 +36,8 @@
 //! assert!(out.fragmentation.fragmentation_graph().is_acyclic()); // §3.3 guarantee
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bond_energy;
 pub mod center;
 pub mod error;

@@ -25,6 +25,8 @@
 //! assert_eq!(a.connections, b.connections); // same seed, same graph
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod deterministic;
 pub mod ellipse;

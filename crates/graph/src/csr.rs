@@ -30,7 +30,13 @@ impl CsrGraph {
     /// Panics if an edge references a node outside `0..node_count`; use
     /// [`CsrGraph::try_from_edges`] for a fallible build.
     pub fn from_edges(node_count: usize, edges: &[Edge]) -> Self {
-        Self::try_from_edges(node_count, edges).expect("edge references out-of-range node")
+        match Self::try_from_edges(node_count, edges) {
+            Ok(g) => g,
+            // The documented contract: every edge endpoint lies in
+            // `0..node_count`; a caller that cannot promise it uses
+            // `try_from_edges`.
+            Err(e) => panic!("edge references out-of-range node: {e}"),
+        }
     }
 
     /// Fallible CSR construction; counting sort by source node, O(V + E).

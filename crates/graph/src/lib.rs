@@ -28,6 +28,9 @@
 //! assert_eq!(dist.cost(NodeId(2)), Some(5));
 //! ```
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod articulation;
 pub mod bitset;
 pub mod csr;

@@ -111,7 +111,9 @@ pub fn condense(graph: &CsrGraph) -> Condensation {
                     // order; record the raw id here and flip it below so
                     // final ids read topologically.
                     loop {
-                        let w = stack.pop().expect("component root is on the stack");
+                        let Some(w) = stack.pop() else {
+                            unreachable!("Tarjan invariant: the component root {v} is on the stack")
+                        };
                         on_stack[w as usize] = false;
                         comp_of[w as usize] = comp_count;
                         if w == v {

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 // Supervised-tier hygiene: non-test code must not carry implicit panic
 // points — site failures surface as `ClosureError::SiteUnavailable` or
 // go through an explicit `unreachable!` with its invariant spelled out.
@@ -12,15 +13,21 @@
 //! fragment, each site an OS thread owning its fragment and complementary
 //! information, communicating exclusively through message channels.
 //!
+//! The coordinator holds the engine state as one [`EngineSnapshot`],
+//! built once by the same precompute as the inline engine
+//! (`ds_closure::api::build_parts`). Each site thread gets a by-value
+//! copy of its own fragment and shortcut table from that snapshot and
+//! never sees anything else. Updates maintain the snapshot and ship one
+//! `Delta` message to each site it reports as touched.
+//!
 //! The simulation preserves the property the disconnection set approach
 //! is designed around — *no communication during phase one* — and makes
 //! the communication that does happen measurable: every request/response
 //! and every shipped tuple is counted in [`MachineStats`].
 //!
 //! [`Machine`] implements [`TcEngine`], the backend-polymorphic query
-//! surface shared with the in-process `DisconnectionSetEngine`, and
-//! deploys from the same build parts (`ds_closure::api::build_parts`) —
-//! the two backends differ only in *where* phase one runs.
+//! surface shared with the in-process `DisconnectionSetEngine`; the two
+//! backends differ only in *where* phase one runs.
 //!
 //! ```
 //! use ds_closure::TcEngine;
@@ -50,16 +57,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ds_closure::api::{build_parts, run_batch_bounded, SiteEvaluator};
-use ds_closure::complementary::ComplementaryInfo;
-use ds_closure::planner::{ChainPlan, Planner};
-use ds_closure::updates::maintain;
-use ds_closure::ConnectivityEffect;
+use ds_closure::planner::ChainPlan;
 use ds_closure::{
     BatchAnswer, ClosureError, EngineConfig, EngineSnapshot, NetworkUpdate, PrecomputeStats,
     QueryAnswer, QueryRequest, QueryStats, Route, TcEngine, UpdateReport,
 };
-use ds_fragment::Fragmentation;
-use ds_graph::{CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
+use ds_fragment::{FragmentId, Fragmentation};
+use ds_graph::{CsrGraph, NodeId, ScratchDijkstra};
 use ds_obs::{
     EvalTrace, Observability, RequestTrace, SpanRecord, Stage, TraceId, TraceOutcome, Tracer,
 };
@@ -103,17 +107,12 @@ impl Default for MachineOptions {
 
 /// The deployed machine: running site threads plus the coordinator state.
 ///
-/// The coordinator retains the global graph, fragmentation and
-/// complementary information solely for update maintenance (running the
-/// shared `maintain` path and deriving the deltas to ship); query
-/// processing touches only the planner and the message channels — sites
-/// never see global state.
+/// The coordinator holds one [`EngineSnapshot`]. Queries read only its
+/// planner and its reachability index, and send everything else over the
+/// message channels; updates maintain it and derive the deltas to ship;
+/// a redeployed site is rebuilt from it. Sites never see global state.
 pub struct Machine {
-    graph: Arc<CsrGraph>,
-    frag: Arc<Fragmentation>,
-    symmetric: bool,
-    cfg: EngineConfig,
-    comp: ComplementaryInfo,
+    snap: EngineSnapshot,
     senders: Vec<mpsc::Sender<SiteRequest>>,
     responses: mpsc::Receiver<SiteResponse>,
     /// Retained clone of the sites' response sender so a redeployed site
@@ -127,24 +126,19 @@ pub struct Machine {
     /// channel (or already died — that is why it was replaced).
     retired: Vec<JoinHandle<()>>,
     options: MachineOptions,
-    planner: Arc<Planner>,
     counters: MachineCounters,
     /// The per-site breakdown of [`MachineStats`] (not exported).
     sites: Vec<SiteStats>,
     next_tag: u64,
     /// Coordinator-side scratch kernel for update repair sweeps.
     scratch: ScratchDijkstra,
-    /// Coordinator-side SCC/chain reachability index over the global
-    /// graph — `connected` answers here without any site round trip.
-    /// Kept across updates that provably cannot change reachability,
-    /// rebuilt eagerly otherwise; shared with assembled snapshots.
-    reach: Option<Arc<ReachIndex>>,
 }
 
 impl Machine {
     /// Deploy one site per fragment with the default engine
     /// configuration. Precomputes complementary information and ships
-    /// each site its augmented local graph — after this, sites never see
+    /// each site its fragment and shortcut table, from which the site
+    /// builds its augmented local graph — after this, sites never see
     /// global state.
     pub fn deploy(
         graph: CsrGraph,
@@ -178,31 +172,14 @@ impl Machine {
     ) -> Result<Self, ClosureError> {
         // Shared build path with the inline backend.
         let parts = build_parts(&graph, &frag, symmetric, &cfg)?;
-        let inits: Vec<SiteInit> = frag
-            .fragments()
-            .iter()
-            .map(|f| SiteInit {
-                site: f.id(),
-                node_count: graph.node_count(),
-                symmetric,
-                frag_edges: f.edges().to_vec(),
-                shortcuts: parts.comp.shortcuts(f.id()).to_vec(),
-            })
-            .collect();
-        let SpawnedSites {
-            senders,
-            responses,
-            resp_tx,
-            handles,
-        } = spawn_sites(inits, &options.fault);
-        let site_count = senders.len();
-        let reach = cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph)));
+        let snap = EngineSnapshot::from_parts(graph, frag, symmetric, cfg, parts, "site-threads");
+        let site_count = snap.site_count();
+        let (resp_tx, responses) = mpsc::channel();
+        let (senders, handles) = (0..site_count)
+            .map(|f| spawn_site(site_init(&snap, f), &resp_tx, &options.fault))
+            .unzip();
         Ok(Machine {
-            graph: Arc::new(graph),
-            frag: Arc::new(frag),
-            symmetric,
-            cfg,
-            comp: parts.comp,
+            snap,
             senders,
             responses,
             resp_tx,
@@ -210,11 +187,9 @@ impl Machine {
             retired: Vec::new(),
             counters: MachineCounters::new(options.obs.as_deref()),
             options,
-            planner: parts.planner,
             sites: vec![SiteStats::default(); site_count],
             next_tag: 0,
             scratch: ScratchDijkstra::new(),
-            reach,
         })
     }
 
@@ -241,23 +216,13 @@ impl Machine {
         }
     }
 
-    /// Redeploy one site from the coordinator's retained fragment and
-    /// complementary state — the same [`SiteInit`] path as `deploy`, so
-    /// the new thread is consistent with the coordinator by construction
+    /// Redeploy one site from the coordinator's snapshot — the same
+    /// [`site_init`] and [`spawn_site`] path as `deploy`, so the new
+    /// thread is consistent with the coordinator by construction
     /// (including any update the dead site missed).
-    fn respawn_site(&mut self, site: usize) {
-        let f = self.frag.fragment(site);
-        let init = SiteInit {
-            site,
-            node_count: self.graph.node_count(),
-            symmetric: self.symmetric,
-            frag_edges: f.edges().to_vec(),
-            shortcuts: self.comp.shortcuts(site).to_vec(),
-        };
-        let (req_tx, req_rx) = mpsc::channel();
-        let tx = self.resp_tx.clone();
-        let fault = self.options.fault.clone();
-        let handle = std::thread::spawn(move || site::run_site(init, req_rx, tx, fault));
+    fn respawn_site(&mut self, site: FragmentId) {
+        let init = site_init(&self.snap, site);
+        let (req_tx, handle) = spawn_site(init, &self.resp_tx, &self.options.fault);
         // Dropping the old sender tells a merely-slow (not dead) old
         // thread to exit; its late responses carry stale tags and are
         // discarded by the tag-driven collection loops.
@@ -270,7 +235,7 @@ impl Machine {
     /// One evaluation round with typed failure: if any site dies (or
     /// stops answering for [`MachineOptions::site_recv_timeout`]) the
     /// whole batch is discarded, every suspect site is redeployed from
-    /// the coordinator's retained state, and the first failed site is
+    /// the coordinator's snapshot, and the first failed site is
     /// reported as [`ClosureError::SiteUnavailable`]. A retry after the
     /// error hits a healthy machine.
     pub fn try_query_batch(
@@ -287,7 +252,7 @@ impl Machine {
         let mut eval_traces: Vec<EvalTrace> = Vec::new();
         let mut failed: BTreeSet<usize> = BTreeSet::new();
         let Machine {
-            ref planner,
+            ref snap,
             ref senders,
             ref responses,
             ref options,
@@ -312,7 +277,7 @@ impl Machine {
         };
         let sink = obs.as_ref().map(|_| &mut eval_traces);
         let batch: BatchAnswer =
-            run_batch_bounded(planner, &mut eval, requests, &traces, sink, &[]).into();
+            run_batch_bounded(snap.planner(), &mut eval, requests, &traces, sink, &[]).into();
         if let Some(&site) = failed.iter().next() {
             for &s in &failed {
                 self.respawn_site(s);
@@ -366,37 +331,31 @@ impl Machine {
     }
 }
 
-/// The channel fabric of a freshly spawned site pool: per-site request
-/// senders, the shared response channel, and the coordinator's retained
-/// clone of its sender (respawned sites get a fresh clone, so the
-/// channel never disconnects — dead sites are detected by timeout).
-struct SpawnedSites {
-    senders: Vec<mpsc::Sender<SiteRequest>>,
-    responses: mpsc::Receiver<SiteResponse>,
-    resp_tx: mpsc::Sender<SiteResponse>,
-    handles: Vec<JoinHandle<()>>,
+/// What site `f` owns, copied by value out of the coordinator's snapshot:
+/// its fragment tuples and the shortcut table stored at it.
+fn site_init(snap: &EngineSnapshot, f: FragmentId) -> SiteInit {
+    SiteInit {
+        site: f,
+        node_count: snap.graph().node_count(),
+        symmetric: snap.is_symmetric(),
+        frag_edges: snap.fragmentation().fragment(f).edges().to_vec(),
+        shortcuts: snap.complementary().shortcuts(f).to_vec(),
+    }
 }
 
-/// Spawn one site thread per fragment, each owning its [`SiteInit`].
-fn spawn_sites(inits: Vec<SiteInit>, fault: &Option<Arc<FaultPlan>>) -> SpawnedSites {
-    let (resp_tx, responses) = mpsc::channel();
-    let mut senders = Vec::with_capacity(inits.len());
-    let mut handles = Vec::with_capacity(inits.len());
-    for init in inits {
-        let (req_tx, req_rx) = mpsc::channel();
-        let tx = resp_tx.clone();
-        let plan = fault.clone();
-        handles.push(std::thread::spawn(move || {
-            site::run_site(init, req_rx, tx, plan)
-        }));
-        senders.push(req_tx);
-    }
-    SpawnedSites {
-        senders,
-        responses,
-        resp_tx,
-        handles,
-    }
+/// Start one site thread on `init`. It answers on a clone of the
+/// coordinator's retained response sender, so the response channel never
+/// disconnects — a dead site is detected by timeout.
+fn spawn_site(
+    init: SiteInit,
+    resp_tx: &mpsc::Sender<SiteResponse>,
+    fault: &Option<Arc<FaultPlan>>,
+) -> (mpsc::Sender<SiteRequest>, JoinHandle<()>) {
+    let (req_tx, req_rx) = mpsc::channel();
+    let tx = resp_tx.clone();
+    let plan = fault.clone();
+    let handle = std::thread::spawn(move || site::run_site(init, req_rx, tx, plan));
+    (req_tx, handle)
 }
 
 /// Site evaluation over the message channels: all requested subqueries of
@@ -533,7 +492,7 @@ impl TcEngine for Machine {
     }
 
     fn fragmentation(&self) -> &Fragmentation {
-        &self.frag
+        self.snap.fragmentation()
     }
 
     /// A single-request batch: same planning and dispatch path as
@@ -553,92 +512,46 @@ impl TcEngine for Machine {
     }
 
     fn precompute_stats(&self) -> PrecomputeStats {
-        self.comp.precompute_stats()
+        self.snap.precompute_stats()
     }
 
-    /// The coordinator retains everything a snapshot needs except the
-    /// augmented graphs (those live at the sites); they are rebuilt from
-    /// the complementary tables — cheap CSR assembly, no precompute. The
-    /// graph, fragmentation, planner and shortcut tables are handed over
-    /// as shared `Arc` handles, not copied.
+    /// The coordinator's snapshot: an O(sites) refcount copy.
     fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot::assemble(
-            Arc::clone(&self.graph),
-            Arc::clone(&self.frag),
-            self.symmetric,
-            self.cfg.clone(),
-            self.comp.clone(),
-            Arc::clone(&self.planner),
-            self.reach.clone(),
-            "site-threads",
-        )
+        self.snap.clone()
     }
 
-    /// Coordinator-local: one comparison plus at most one binary search
-    /// in the reachability index — no site round trip, no Dijkstra
-    /// sweep. Falls back to a full shortest-path query when the index
-    /// is disabled.
+    /// Coordinator-local when the snapshot's reachability index answers
+    /// (no site round trip, no Dijkstra sweep); a full shortest-path
+    /// query through the sites otherwise.
     fn connected(&mut self, x: NodeId, y: NodeId) -> bool {
-        if x == y {
-            return true;
-        }
-        if let Some(reach) = &self.reach {
-            if x.index() < reach.node_count() && y.index() < reach.node_count() {
-                return reach.reaches(x, y);
-            }
-        }
-        self.shortest_path(x, y).cost.is_some()
+        self.snap
+            .reach_probe(x, y)
+            .unwrap_or_else(|| self.shortest_path(x, y).cost.is_some())
     }
 
-    /// Updates are incremental: the coordinator runs the shared
-    /// maintenance path (`ds_closure::updates::maintain`) on its retained
-    /// state, then ships one [`SiteDelta`] to each touched site — the
-    /// owner gets the fragment edge change, every site whose shortcut
-    /// table changed gets the refreshed tuples. Untouched sites see no
-    /// message at all; site threads are never torn down, so accumulated
-    /// statistics survive updates by construction.
+    /// Updates are incremental: the coordinator maintains its snapshot
+    /// (`EngineSnapshot::maintain_cow`, the path every backend shares),
+    /// rebuilds a dropped reachability index eagerly so `connected` stays
+    /// round-trip-free, then ships one [`SiteDelta`] to each touched
+    /// site — the owner gets the fragment edge change, every site whose
+    /// shortcut table changed gets the refreshed tuples. Untouched sites
+    /// see no message at all; site threads are never torn down, so
+    /// accumulated statistics survive updates by construction.
     fn update(&mut self, update: &NetworkUpdate) -> Result<UpdateReport, ClosureError> {
-        let m = maintain(
-            &mut self.graph,
-            &mut self.frag,
-            self.symmetric,
-            &self.cfg,
-            &mut self.comp,
-            update,
-            &mut self.scratch,
-        )?;
-        // Keep-vs-rebuild for the coordinator's reachability index,
-        // decided while `self.reach` still describes the pre-update
-        // graph (same rules as `EngineSnapshot::maintain_cow`). The
-        // rebuild is eager: site deltas below are the expensive part of
-        // an update anyway, and `connected` stays round-trip-free.
-        let keep = match m.connectivity {
-            ConnectivityEffect::Unchanged => true,
-            ConnectivityEffect::Inserted { src, dst } => self.reach.as_ref().is_some_and(|r| {
-                r.reaches(src, dst) && (!self.symmetric || src == dst || r.reaches(dst, src))
-            }),
-            ConnectivityEffect::Removed { parallel_remains } => parallel_remains,
+        let cow = self.snap.maintain_cow(update, &mut self.scratch)?;
+        self.snap.ensure_reach();
+        let Some(owner) = cow.owner else {
+            return Ok(cow.report); // no-op removal: nothing to ship
         };
-        if !keep {
-            self.reach = self
-                .cfg
-                .reach_index
-                .then(|| Arc::new(ReachIndex::build(&self.graph)));
-        }
-        let Some(owner) = m.owner else {
-            return Ok(m.report); // no-op removal: nothing to ship
-        };
-        let mut targets: BTreeSet<usize> = m.shortcut_sites.iter().copied().collect();
-        targets.insert(owner);
         let mut failed: BTreeSet<usize> = BTreeSet::new();
-        let mut pending: HashMap<u64, usize> = HashMap::with_capacity(targets.len());
-        for &f in &targets {
+        let mut pending: HashMap<u64, usize> = HashMap::with_capacity(cow.touched_sites.len());
+        for &f in &cow.touched_sites {
             let tag = self.next_tag;
             self.next_tag += 1;
-            let shortcuts = m
+            let shortcuts = cow
                 .shortcut_sites
                 .contains(&f)
-                .then(|| self.comp.shortcuts(f).to_vec());
+                .then(|| self.snap.complementary().shortcuts(f).to_vec());
             let delta = SiteDelta {
                 tag,
                 edge_change: (f == owner).then_some(match *update {
@@ -685,8 +598,8 @@ impl TcEngine for Machine {
         }
         self.counters.updates.inc();
         if let Some(&site) = failed.iter().next() {
-            // The update IS applied: the coordinator maintained its own
-            // state, live sites acked their deltas, and each redeployed
+            // The update IS applied: the coordinator maintained its
+            // snapshot, live sites acked their deltas, and each redeployed
             // site is rebuilt from the already-maintained state. The
             // error reports that sites died (and were replaced) mid-round.
             for &s in &failed {
@@ -694,7 +607,7 @@ impl TcEngine for Machine {
             }
             return Err(ClosureError::SiteUnavailable { site });
         }
-        Ok(m.report)
+        Ok(cow.report)
     }
 
     /// The infallible trait surface retries [`Machine::try_query_batch`]:
@@ -845,7 +758,7 @@ mod tests {
         assert!(report.sites_touched >= 1, "{report:?}");
         let after = m.shortest_path(n(0), n(35)).cost.unwrap();
         assert!(after <= before, "insertion cannot lengthen paths");
-        let csr = m.graph.clone();
+        let csr = m.snapshot().graph().clone();
         assert_eq!(Some(after), baseline::shortest_path_cost(&csr, n(0), n(35)));
         m.shutdown();
     }
@@ -873,7 +786,7 @@ mod tests {
             !report.full_recompute,
             "interior grid edge repairs: {report:?}"
         );
-        let csr = m.graph.clone();
+        let csr = m.snapshot().graph().clone();
         for (x, y) in [(0u32, 35u32), (8, 27), (20, 3)] {
             assert_eq!(
                 m.shortest_path(n(x), n(y)).cost,
@@ -1087,7 +1000,7 @@ mod tests {
         assert_eq!(m.stats().site_restarts, 1);
         // The update is applied everywhere: the redeployed site was
         // rebuilt from post-maintenance state. Answers stay exact.
-        let csr = m.graph.clone();
+        let csr = m.snapshot().graph().clone();
         for (x, y) in [(0u32, 35u32), (8, 27), (20, 3)] {
             assert_eq!(
                 m.shortest_path(n(x), n(y)).cost,

@@ -4,10 +4,10 @@
 //! (carrying the entry and exit disconnection sets — the "keyhole"
 //! selections), its small result relation, and — since updates became
 //! incremental — a *delta*: the owner fragment's edge change and/or a
-//! refreshed shortcut table, shipped only to the sites the shared
-//! maintenance path (`ds_closure::updates::maintain`) reports as touched.
-//! Everything else (the fragment, the complementary information) was
-//! shipped once at deployment.
+//! refreshed shortcut table, shipped only to the sites the coordinator's
+//! snapshot maintenance (`EngineSnapshot::maintain_cow`) reports as
+//! touched. Everything else (the fragment, the complementary
+//! information) was shipped once at deployment.
 
 use std::time::Duration;
 

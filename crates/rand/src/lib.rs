@@ -9,6 +9,8 @@
 //! across platforms and releases; generated graphs are reproducible per
 //! seed (which is all `ds-gen` promises).
 
+#![forbid(unsafe_code)]
+
 /// Core random source: a stream of `u64`s.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;

@@ -33,6 +33,7 @@
 //! assert!(stats.iterations <= 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bulk;

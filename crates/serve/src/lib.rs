@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 // Supervised-tier hygiene: non-test code must not carry implicit panic
 // points — failures surface as typed errors (`ServeError`,
 // `ClosureError`) or go through an explicit `unreachable!` with its

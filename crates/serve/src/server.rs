@@ -791,42 +791,41 @@ impl Server {
     /// cache at all). Falls back to a full shortest-path query through
     /// the pool when the index is disabled or stale.
     pub fn connected(&self, x: NodeId, y: NodeId) -> Result<bool, ServeError> {
+        let (epoch, snap) = self.shared.published.current();
+        let Some(connected) = snap.reach_probe(x, y) else {
+            return Ok(self.query(x, y)?.answer.cost.is_some());
+        };
+        // `x == y` is trivially true: only an index answer counts as a
+        // fast-path hit and files a trace.
         if x == y {
             return Ok(true);
         }
-        let (epoch, snap) = self.shared.published.current();
-        if let Some(reach) = snap.reach_index() {
-            if x.index() < reach.node_count() && y.index() < reach.node_count() {
-                self.shared.counters.reach_fast_path.inc();
-                let connected = reach.reaches(x, y);
-                if let Some(o) = &self.shared.obs {
-                    // Traced but not timed: the fast path files no
-                    // latency sample (see `ServeStats::latency`).
-                    let tracer = o.tracer();
-                    let trace = tracer.mint();
-                    let now = tracer.now_ns();
-                    tracer.finish(RequestTrace {
-                        trace,
-                        source: x.index() as u64,
-                        target: y.index() as u64,
-                        epoch,
-                        total_ns: 0,
-                        outcome: if connected {
-                            TraceOutcome::Answered
-                        } else {
-                            TraceOutcome::Unreachable
-                        },
-                        spans: vec![SpanRecord::new(trace, Stage::ReachIndex, now, 0)],
-                    });
-                    let w = o.workload();
-                    if w.should_sample() {
-                        w.record_vertex_pair(x.index() as u64, y.index() as u64);
-                    }
-                }
-                return Ok(connected);
+        self.shared.counters.reach_fast_path.inc();
+        if let Some(o) = &self.shared.obs {
+            // Traced but not timed: the fast path files no latency sample
+            // (see `ServeStats::latency`).
+            let tracer = o.tracer();
+            let trace = tracer.mint();
+            let now = tracer.now_ns();
+            tracer.finish(RequestTrace {
+                trace,
+                source: x.index() as u64,
+                target: y.index() as u64,
+                epoch,
+                total_ns: 0,
+                outcome: if connected {
+                    TraceOutcome::Answered
+                } else {
+                    TraceOutcome::Unreachable
+                },
+                spans: vec![SpanRecord::new(trace, Stage::ReachIndex, now, 0)],
+            });
+            let w = o.workload();
+            if w.should_sample() {
+                w.record_vertex_pair(x.index() as u64, y.index() as u64);
             }
         }
-        Ok(self.query(x, y)?.answer.cost.is_some())
+        Ok(connected)
     }
 
     /// Admit a batch of requests as one job without blocking: `Ok` hands
@@ -1595,7 +1594,7 @@ fn writer_loop(
         let mut applied = 0u64;
         for job in jobs {
             match working.maintain(&job.update, &mut scratch) {
-                Ok(report) if report.sites_touched == 0 && !report.full_recompute => {
+                Ok(report) if !report.changed() => {
                     // Structural no-op (e.g. removing a connection that
                     // does not exist): nothing changed, so nothing to
                     // publish — answer at the current epoch for free.
@@ -1720,28 +1719,16 @@ fn redo_wal_suffix(shared: &Shared) {
         return;
     }
     let mut working = (*shared.published.current().1).clone();
-    let mut scratch = ScratchDijkstra::new();
-    let mut epoch = shared.published.epoch.load(Ordering::Acquire);
-    let mut applied = 0u64;
-    let mut last = after;
-    for rec in &suffix {
-        // Mirror the writer's apply loop: effective updates bump the
-        // epoch, per-update errors are skipped (their callers already
-        // saw the error).
-        if let Ok(report) = working.maintain(&rec.update, &mut scratch) {
-            if report.sites_touched > 0 || report.full_recompute {
-                epoch += 1;
-                applied += 1;
-            }
-        }
-        last = rec.lsn;
-    }
+    let replayed = ds_durability::replay(&mut working, &suffix, after);
+    let applied = replayed.changed;
     if applied > 0 {
-        working.ensure_reach();
+        let epoch = shared.published.epoch.load(Ordering::Acquire) + applied;
         shared.published.publish(epoch, Arc::new(working));
         shared.counters.epoch.set(epoch);
     }
-    shared.published_lsn.store(last, Ordering::SeqCst);
+    shared
+        .published_lsn
+        .store(replayed.last_lsn, Ordering::SeqCst);
     shared.counters.updates.add(applied);
     shared.counters.publications.add((applied > 0) as u64);
 }

@@ -5,6 +5,8 @@
 //! the backend-polymorphic query surface (`shortest_path`, `connected`,
 //! `route`, `update`, `query_batch`) both execution substrates implement.
 
+#![forbid(unsafe_code)]
+
 pub use ds_closure as closure;
 pub use ds_durability as durability;
 pub use ds_fragment as fragment;

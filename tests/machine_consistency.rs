@@ -61,6 +61,68 @@ fn machine_engine_and_baseline_agree() {
 }
 
 #[test]
+fn machine_snapshot_is_its_state_and_tracks_updates() {
+    use discset::graph::{Edge, ScratchDijkstra};
+    use discset::NetworkUpdate;
+    use std::sync::Arc;
+    let (csr, frag) = setup(4, 5);
+    let mut engine =
+        DisconnectionSetEngine::build(csr.clone(), frag.clone(), true, EngineConfig::default())
+            .unwrap();
+    let mut machine = Machine::deploy(csr.clone(), frag, true).unwrap();
+
+    // The coordinator holds one snapshot: handing it out shares every
+    // per-site augmented graph instead of rebuilding it.
+    let (first, second) = (machine.snapshot(), machine.snapshot());
+    for f in 0..machine.site_count() {
+        assert!(
+            Arc::ptr_eq(first.augmented_handle(f), second.augmented_handle(f)),
+            "site {f}: snapshot() rebuilt the augmented graph"
+        );
+    }
+
+    // One insert and one removal, applied to both backends alike.
+    let f0 = machine.fragmentation().fragment(0).clone();
+    let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
+    let removed = machine.fragmentation().fragment(1).edges()[0];
+    let updates = [
+        NetworkUpdate::Insert {
+            edge: Edge::new(a, b, 1),
+            owner: 0,
+        },
+        NetworkUpdate::Remove {
+            src: removed.src,
+            dst: removed.dst,
+            owner: 1,
+        },
+    ];
+    for u in &updates {
+        assert_eq!(machine.update(u), engine.update(u), "{u:?}");
+    }
+
+    let (snap, inline) = (machine.snapshot(), engine.snapshot());
+    assert_eq!(snap.source_backend(), "site-threads");
+    let (mut s1, mut s2) = (ScratchDijkstra::new(), ScratchDijkstra::new());
+    let n = csr.node_count() as u32;
+    for x in 0..n {
+        for y in 0..n {
+            let (x, y) = (NodeId(x), NodeId(y));
+            assert_eq!(
+                snap.shortest_path(x, y, &mut s1).cost,
+                inline.shortest_path(x, y, &mut s2).cost,
+                "{x}->{y}"
+            );
+            assert_eq!(
+                snap.connected(x, y, &mut s1),
+                inline.connected(x, y, &mut s2),
+                "connected({x}, {y})"
+            );
+        }
+    }
+    machine.shutdown();
+}
+
+#[test]
 fn machine_ships_only_small_relations() {
     let (csr, frag) = setup(4, 1);
     let ds_total: usize = frag.disconnection_sets().values().map(|v| v.len()).sum();
