@@ -23,6 +23,14 @@
 //!   chain (those depend only on the disconnection sets, not on the query
 //!   endpoints), so a batch of k queries along one chain of length L
 //!   costs `L - 2 + 2k` site subqueries instead of `L·k`.
+//!
+//! Interior segments are also reused *across* batches: the inline
+//! evaluator behind [`EngineSnapshot`] answers them from the snapshot's
+//! per-site [`crate::transit::TransitMemo`], which every reader thread
+//! and every later epoch that shares the site reads. The memos hold at
+//! most `Σ_f deg(f)²` relations (one per ordered pair of a site's
+//! fragmentation-graph neighbours) of at most `|DS|²` tuples each. The
+//! site-threads backend has no memo: its sites evaluate every segment.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -75,6 +83,10 @@ pub struct BatchStats {
     pub segments_computed: usize,
     /// Segment relations served from the interior cache (no site work).
     pub segments_reused: usize,
+    /// Of `segments_computed`, the interior segments a snapshot's
+    /// transit memo answered without a sweep (always 0 on the
+    /// site-threads backend, which has no memo).
+    pub segments_memoized: usize,
 }
 
 impl BatchStats {
@@ -94,7 +106,9 @@ impl BatchStats {
 /// Result of a batch: one [`QueryAnswer`] per request, in request order,
 /// plus the batch-level amortization stats. Per-answer [`QueryStats`]
 /// count only the site work actually performed *for that query* — work
-/// served from the batch caches shows up in [`BatchStats`] instead.
+/// served from the batch caches shows up in [`BatchStats`] instead. A
+/// segment answered from a transit memo counts as a site query with its
+/// tuples shipped, but adds no site busy time.
 #[derive(Clone, Debug)]
 pub struct BatchAnswer {
     pub answers: Vec<QueryAnswer>,
@@ -426,6 +440,14 @@ pub trait SiteEvaluator {
         stats: &mut QueryStats,
     ) -> Vec<Relation<PathTuple>>;
 
+    /// Segments this evaluator has answered from a memo without a sweep,
+    /// over its lifetime; [`run_batch_bounded`] reports the growth across
+    /// a batch as [`BatchStats::segments_memoized`]. Evaluators without a
+    /// memo keep the default 0.
+    fn memoized(&self) -> usize {
+        0
+    }
+
     /// Called by [`run_batch_bounded`] before each request's evaluation
     /// with that request's trace id, so message-passing backends can
     /// stamp the id into their protocol traffic. The default is a no-op;
@@ -450,13 +472,7 @@ impl From<BoundedBatchAnswer> for BatchAnswer {
             answers: bounded
                 .answers
                 .into_iter()
-                .map(|a| {
-                    a.unwrap_or(QueryAnswer {
-                        cost: None,
-                        best_chain: None,
-                        stats: QueryStats::default(),
-                    })
-                })
+                .map(|a| a.unwrap_or_else(QueryAnswer::unreachable))
                 .collect(),
             stats: bounded.stats,
         }
@@ -470,7 +486,11 @@ impl From<BoundedBatchAnswer> for BatchAnswer {
 /// ≥ 3 the interior subqueries — `DS(f_{i-1}, f_i) -> DS(f_i, f_{i+1})`,
 /// which do not mention the query endpoints — are evaluated once per
 /// distinct fragment chain and reused across the whole batch; only the
-/// first and last site subqueries are endpoint-specific.
+/// first and last site subqueries are endpoint-specific. The interior
+/// cache lives only as long as the batch; an evaluator may also keep
+/// interior segments across batches (the inline evaluator's transit
+/// memo), and reports the segments it served that way through
+/// [`SiteEvaluator::memoized`].
 ///
 /// Tracing: `traces[i]` is request `i`'s [`TraceId`] (an empty slice
 /// means untraced), and when `sink` is given, one [`EvalTrace`] per
@@ -506,6 +526,7 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
         queries: requests.len(),
         ..BatchStats::default()
     };
+    let memoized_before = eval.memoized();
     let mut answers = Vec::with_capacity(requests.len());
     for (i, req) in requests.iter().enumerate() {
         let trace = traces.get(i).copied().unwrap_or(TraceId::NONE);
@@ -533,6 +554,7 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
             sink.push(et);
         }
     }
+    stats.segments_memoized = eval.memoized().saturating_sub(memoized_before);
     BoundedBatchAnswer { answers, stats }
 }
 
@@ -571,13 +593,7 @@ fn one_query<E: SiteEvaluator>(
             plan
         }
         // Endpoint in no fragment: unreachable, like shortest_path.
-        Err(_) => {
-            return Some(QueryAnswer {
-                cost: None,
-                best_chain: None,
-                stats: QueryStats::default(),
-            })
-        }
+        Err(_) => return Some(QueryAnswer::unreachable()),
     };
     let mut qstats = QueryStats {
         enumerated: plan.enumerated,

@@ -93,6 +93,18 @@ pub struct QueryAnswer {
     pub stats: QueryStats,
 }
 
+impl QueryAnswer {
+    /// The answer for a pair with no connecting path (or an endpoint in
+    /// no fragment): no cost, no chain, no site work.
+    pub fn unreachable() -> Self {
+        QueryAnswer {
+            cost: None,
+            best_chain: None,
+            stats: QueryStats::default(),
+        }
+    }
+}
+
 /// A fully reconstructed route.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Route {

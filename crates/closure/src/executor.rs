@@ -59,7 +59,8 @@ pub fn run_chain(
         .unzip()
 }
 
-fn run_one(
+/// Evaluate one site subquery on `scratch`, timing it.
+pub(crate) fn run_one(
     augmented: &[Arc<CsrGraph>],
     q: &SiteQuery,
     scratch: &mut ScratchDijkstra,

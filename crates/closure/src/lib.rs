@@ -12,7 +12,9 @@
 //! 3. **Evaluate locally**, one independent subquery per fragment on the
 //!    chain, with *no communication*: each site computes a very small
 //!    border-to-border distance relation on its fragment augmented with
-//!    its complementary shortcuts — [`local`], [`executor`].
+//!    its complementary shortcuts — [`local`], [`executor`]. The
+//!    endpoint-independent interior segments are memoized per site on
+//!    the snapshot and shared by every later query — [`transit`].
 //! 4. **Assemble**: fold the small relations with min-plus joins and read
 //!    off the answer — [`assemble`].
 //!
@@ -57,6 +59,7 @@ pub mod local;
 pub mod phe;
 pub mod planner;
 pub mod snapshot;
+pub mod transit;
 pub mod updates;
 
 pub use api::{

@@ -38,6 +38,19 @@
 //! and leaves every other site pointer-shared with the previous epoch.
 //! `tests/properties.rs` asserts `Arc::ptr_eq` for untouched sites across
 //! consecutive epochs on both fragmenter families.
+//!
+//! ## The transit memo
+//!
+//! Beside each site's augmented graph the snapshot holds that site's
+//! [`TransitMemo`]: the interior segments `DS(prev, f) → DS(f, next)`,
+//! which do not depend on the query endpoints, filled lazily by the
+//! first reader that evaluates each one and then read lock-free by every
+//! reader of every epoch that still shares the site. A memo is replaced
+//! (by an empty one) exactly when its site's augmented graph is, so an
+//! update invalidates only the touched sites' segments; clones share
+//! the memos like every other per-site component, and
+//! [`EngineSnapshot::unshared_clone`] starts with empty ones. The memo
+//! is derived state — checkpoints and the write-ahead log never see it.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -54,9 +67,10 @@ use crate::assemble;
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
-use crate::executor::run_chain;
+use crate::executor::{run_chain, run_one};
 use crate::local::augmented_graph;
 use crate::planner::{ChainPlan, Planner};
+use crate::transit::TransitMemo;
 use crate::updates::{ConnectivityEffect, UpdateReport};
 
 /// The immutable, shareable state of a deployed engine: the global
@@ -77,6 +91,9 @@ pub struct EngineSnapshot {
     comp: ComplementaryInfo,
     /// Per site, behind its own `Arc`: the site's augmented local graph.
     augmented: Vec<Arc<CsrGraph>>,
+    /// Per site, behind its own `Arc` and replaced together with
+    /// `augmented[f]`: the memo of the site's interior segments.
+    transit: Vec<Arc<TransitMemo>>,
     /// Per site, behind its own `Arc`: the real (non-shortcut) hops
     /// available locally, with costs — used to tell shortcut hops apart
     /// during route expansion.
@@ -148,6 +165,7 @@ impl EngineSnapshot {
         source_backend: &'static str,
     ) -> Self {
         let reach = cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph)));
+        let transit = empty_memos(&parts.planner, parts.augmented.len());
         EngineSnapshot {
             graph: Arc::new(graph),
             frag: Arc::new(frag),
@@ -155,6 +173,7 @@ impl EngineSnapshot {
             cfg,
             comp: parts.comp,
             augmented: parts.augmented,
+            transit,
             real_hops: parts.real_hops,
             planner: parts.planner,
             reach,
@@ -164,7 +183,8 @@ impl EngineSnapshot {
 
     /// A deep copy that shares **nothing** with `self`: every component —
     /// global graph, fragmentation, planner, per-site augmented graphs,
-    /// real-hop sets and shortcut tables — gets a fresh allocation.
+    /// real-hop sets and shortcut tables — gets a fresh allocation, and
+    /// every site starts with an empty transit memo.
     ///
     /// This is exactly what a per-epoch publication cost before
     /// structural sharing; the serve bench uses it as the baseline of the
@@ -183,6 +203,7 @@ impl EngineSnapshot {
                 .iter()
                 .map(|g| Arc::new((**g).clone()))
                 .collect(),
+            transit: empty_memos(&self.planner, self.augmented.len()),
             real_hops: self
                 .real_hops
                 .iter()
@@ -238,6 +259,13 @@ impl EngineSnapshot {
     /// graph — the structural-sharing contract across epochs.
     pub fn augmented_handle(&self, f: FragmentId) -> &Arc<CsrGraph> {
         &self.augmented[f]
+    }
+
+    /// The shared handle behind site `f`'s transit memo. It is replaced
+    /// exactly when [`EngineSnapshot::augmented_handle`] is, so the two
+    /// are `Arc::ptr_eq` across the same epochs.
+    pub fn transit_handle(&self, f: FragmentId) -> &Arc<TransitMemo> {
+        &self.transit[f]
     }
 
     /// The shared handle behind site `f`'s real-hop set.
@@ -306,57 +334,27 @@ impl EngineSnapshot {
         scratch: &mut ScratchDijkstra,
     ) -> QueryAnswer {
         self.try_shortest_path(x, y, scratch)
-            .unwrap_or(QueryAnswer {
-                cost: None,
-                best_chain: None,
-                stats: QueryStats::default(),
-            })
+            .unwrap_or_else(|_| QueryAnswer::unreachable())
     }
 
     /// Shortest-path cost, erring when an endpoint is in no fragment.
+    /// Evaluated as a one-request batch, so it reads and fills the
+    /// transit memos like every other query.
     pub fn try_shortest_path(
         &self,
         x: NodeId,
         y: NodeId,
         scratch: &mut ScratchDijkstra,
     ) -> Result<QueryAnswer, ClosureError> {
-        if x == y {
-            return Ok(QueryAnswer {
-                cost: Some(0),
-                best_chain: self.planner.fragments_of(x).first().map(|&f| vec![f]),
-                stats: QueryStats::default(),
-            });
-        }
-        let plan = self.planner.plan(x, y)?;
-        let mut stats = QueryStats {
-            enumerated: plan.enumerated,
-            ..QueryStats::default()
-        };
-        let mut best: Option<(Cost, Vec<FragmentId>)> = None;
-        for chain in &plan.chains {
-            let (segments, runs) = run_chain(&self.augmented, chain, self.cfg.mode, scratch);
-            stats.chains_evaluated += 1;
-            stats.site_queries += runs.len();
-            for r in &runs {
-                stats.tuples_shipped += r.tuples;
-                stats.total_site_busy += r.busy;
-                stats.max_site_busy = stats.max_site_busy.max(r.busy);
-            }
-            if let Some(cost) = assemble::chain_cost(&segments, x, y) {
-                if best.as_ref().is_none_or(|(b, _)| cost < *b) {
-                    best = Some((cost, chain.fragments.clone()));
+        if x != y {
+            for v in [x, y] {
+                if self.planner.fragments_of(v).is_empty() {
+                    return Err(ClosureError::NodeNotInAnyFragment(v));
                 }
             }
         }
-        let (cost, best_chain) = match best {
-            Some((c, ch)) => (Some(c), Some(ch)),
-            None => (None, None),
-        };
-        Ok(QueryAnswer {
-            cost,
-            best_chain,
-            stats,
-        })
+        let mut batch = self.query_batch(&[QueryRequest::new(x, y)], scratch);
+        Ok(batch.answers.pop().unwrap_or_else(QueryAnswer::unreachable))
     }
 
     /// Connection query — "is `x` connected to `y`?".
@@ -385,8 +383,8 @@ impl EngineSnapshot {
     }
 
     /// Answer many shortest-path requests on `scratch`, amortizing chain
-    /// planning and interior segment evaluation across the batch (see
-    /// [`run_batch_bounded`]).
+    /// planning across the batch (see [`run_batch_bounded`]) and reading
+    /// interior segments from the transit memos.
     pub fn query_batch(
         &self,
         requests: &[QueryRequest],
@@ -417,7 +415,9 @@ impl EngineSnapshot {
     ) -> crate::api::BoundedBatchAnswer {
         let mut eval = InlineEval {
             augmented: &self.augmented,
+            transit: &self.transit,
             scratch,
+            memoized: 0,
         };
         run_batch_bounded(&self.planner, &mut eval, requests, traces, sink, deadlines)
     }
@@ -576,14 +576,16 @@ impl EngineSnapshot {
         let mut sites: BTreeSet<FragmentId> = m.shortcut_sites.iter().copied().collect();
         sites.insert(owner);
         for &f in &sites {
-            // A fresh Arc per touched site; untouched sites keep sharing
-            // their augmented graph with the pre-update snapshot.
-            self.augmented[f] = Arc::new(augmented_graph(
+            // Fresh Arcs per touched site; untouched sites keep sharing
+            // their augmented graph and transit memo with the pre-update
+            // snapshot.
+            let graph = augmented_graph(
                 self.graph.node_count(),
                 self.frag.fragment(f).edges(),
                 self.symmetric,
                 self.comp.shortcuts(f),
-            ));
+            );
+            self.replace_site_graph(f, graph);
         }
         self.real_hops[owner] = Arc::new(real_hop_set(
             self.frag.fragment(owner).edges(),
@@ -597,13 +599,37 @@ impl EngineSnapshot {
             reach_kept,
         })
     }
+
+    /// Install `graph` as site `f`'s augmented graph, with an empty
+    /// transit memo: the old memo holds segments of the old graph, so the
+    /// two are only ever replaced together, here.
+    fn replace_site_graph(&mut self, f: FragmentId, graph: CsrGraph) {
+        self.augmented[f] = Arc::new(graph);
+        self.transit[f] = empty_memo(&self.planner, f);
+    }
+}
+
+/// An empty transit memo for site `f`, sized from the site's
+/// fragmentation-graph neighbours.
+fn empty_memo(planner: &Planner, f: FragmentId) -> Arc<TransitMemo> {
+    Arc::new(TransitMemo::new(planner.fragmentation_graph().neighbors(f)))
+}
+
+/// One empty transit memo per site.
+fn empty_memos(planner: &Planner, sites: usize) -> Vec<Arc<TransitMemo>> {
+    (0..sites).map(|f| empty_memo(planner, f)).collect()
 }
 
 /// Site evaluation for snapshot-backed (and inline-engine) batches:
-/// subqueries run on the calling thread against the caller's scratch.
+/// subqueries run on the calling thread against the caller's scratch,
+/// and interior subqueries are answered from (or filled into) the
+/// site's transit memo.
 struct InlineEval<'a> {
     augmented: &'a [Arc<CsrGraph>],
+    transit: &'a [Arc<TransitMemo>],
     scratch: &'a mut ScratchDijkstra,
+    /// Segments answered from a memo without a sweep.
+    memoized: usize,
 }
 
 impl SiteEvaluator for InlineEval<'_> {
@@ -613,26 +639,39 @@ impl SiteEvaluator for InlineEval<'_> {
         positions: &[usize],
         stats: &mut QueryStats,
     ) -> Vec<Relation<PathTuple>> {
-        let sub = ChainPlan {
-            fragments: positions.iter().map(|&p| chain.queries[p].site).collect(),
-            queries: positions
-                .iter()
-                .map(|&p| chain.queries[p].clone())
-                .collect(),
-        };
-        let (segments, runs) = run_chain(
-            self.augmented,
-            &sub,
-            crate::executor::ExecutionMode::Sequential,
-            self.scratch,
-        );
-        for r in &runs {
+        let mut segments = Vec::with_capacity(positions.len());
+        for &p in positions {
+            let q = &chain.queries[p];
+            // An interior subquery mentions no endpoint: it is keyed by
+            // the fragments the chain enters from and leaves towards.
+            let interior = (p > 0 && p + 1 < chain.fragments.len()).then(|| {
+                (
+                    &self.transit[q.site],
+                    chain.fragments[p - 1],
+                    chain.fragments[p + 1],
+                )
+            });
             stats.site_queries += 1;
-            stats.tuples_shipped += r.tuples;
-            stats.total_site_busy += r.busy;
-            stats.max_site_busy = stats.max_site_busy.max(r.busy);
+            if let Some(seg) = interior.and_then(|(memo, prev, next)| memo.get(prev, next)) {
+                self.memoized += 1;
+                stats.tuples_shipped += seg.len();
+                segments.push(seg.clone());
+                continue;
+            }
+            let (seg, run) = run_one(self.augmented, q, self.scratch);
+            stats.tuples_shipped += run.tuples;
+            stats.total_site_busy += run.busy;
+            stats.max_site_busy = stats.max_site_busy.max(run.busy);
+            if let Some((memo, prev, next)) = interior {
+                memo.fill(prev, next, seg.clone());
+            }
+            segments.push(seg);
         }
         segments
+    }
+
+    fn memoized(&self) -> usize {
+        self.memoized
     }
 }
 
@@ -652,6 +691,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::BatchStats;
     use crate::baseline;
     use ds_fragment::linear::{linear_sweep, LinearConfig};
     use ds_gen::deterministic::grid;
@@ -676,17 +716,26 @@ mod tests {
         (g, snap)
     }
 
+    /// Readers share one snapshot whose transit memos start empty: they
+    /// race to fill the same slots, and every answer — swept or read
+    /// from a slot another thread filled — equals the oracle.
     #[test]
     fn concurrent_readers_share_one_snapshot() {
+        const THREADS: u32 = 6;
         let (g, snap) = snapshot();
         let csr = g.closure_graph();
+        let sites = snap.site_count();
+        assert!((0..sites).all(|f| snap.transit_handle(f).entries().count() == 0));
         let snap = std::sync::Arc::new(snap);
+        let start = std::sync::Barrier::new(THREADS as usize);
         let answers: Vec<Vec<Option<Cost>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4u32)
+            let handles: Vec<_> = (0..THREADS)
                 .map(|t| {
                     let snap = std::sync::Arc::clone(&snap);
+                    let start = &start;
                     s.spawn(move || {
                         let mut scratch = ScratchDijkstra::new();
+                        start.wait();
                         (0..40u32)
                             .map(|i| {
                                 snap.shortest_path(n((i + t) % 40), n(39 - i), &mut scratch)
@@ -708,6 +757,59 @@ mod tests {
                 assert_eq!(*got, want, "thread {t} query {i}");
             }
         }
+        // The chain crosses all four sites, so the interior sites' memos
+        // were filled, and each slot holds what a sweep computes.
+        let planner = snap.planner();
+        let mut filled = 0;
+        for f in 0..sites {
+            for (prev, next, memo) in snap.transit_handle(f).entries() {
+                let sweep = crate::local::border_matrix(
+                    snap.augmented_handle(f),
+                    planner.ds_between(prev, f),
+                    planner.ds_between(f, next),
+                );
+                assert_eq!(*memo, sweep, "site {f} segment {prev}->{next}");
+                filled += 1;
+            }
+        }
+        assert!(filled > 0, "interior segments were memoized");
+    }
+
+    #[test]
+    fn memo_hits_are_counted_and_answer_like_sweeps() {
+        let (g, snap) = snapshot();
+        let csr = g.closure_graph();
+        let mut scratch = ScratchDijkstra::new();
+        let requests = [QueryRequest::new(n(0), n(39))];
+        let cold = snap.query_batch(&requests, &mut scratch);
+        let sweeps = scratch.stats().sweeps;
+        let warm = snap.query_batch(&requests, &mut scratch);
+        assert_eq!(cold.costs(), warm.costs());
+        assert_eq!(
+            cold.costs()[0],
+            baseline::shortest_path_cost(&csr, n(0), n(39))
+        );
+        // Same segments computed; the second time the interior ones come
+        // from the memo, which counts them but runs no sweep for them.
+        assert_eq!(
+            cold.stats,
+            BatchStats {
+                segments_memoized: 0,
+                ..warm.stats
+            }
+        );
+        assert_eq!(cold.stats.segments_memoized, 0);
+        assert!(warm.stats.segments_memoized > 0);
+        let (c, w) = (&cold.answers[0].stats, &warm.answers[0].stats);
+        assert_eq!(c.site_queries, w.site_queries);
+        assert_eq!(c.tuples_shipped, w.tuples_shipped);
+        // A warm batch sweeps only for the endpoint subqueries, the same
+        // number every time.
+        let warm_sweeps = scratch.stats().sweeps - sweeps;
+        assert!(warm_sweeps > 0, "endpoint subqueries still sweep");
+        let again = snap.query_batch(&requests, &mut scratch);
+        assert_eq!(scratch.stats().sweeps - sweeps, 2 * warm_sweeps);
+        assert_eq!(again.stats, warm.stats);
     }
 
     #[test]

@@ -63,6 +63,15 @@
 //!   pair once and evaluates interior chain segments once per chain. Queue depth
 //!   converts directly into amortization — the busier the server, the
 //!   cheaper the average query.
+//! * **Interior segments outlive the batch.** The published snapshot
+//!   carries one transit memo per site (`ds_closure::transit`): the
+//!   endpoint-independent `DS → DS` segment of an intermediate site is
+//!   swept by the first reader that needs it and then read lock-free by
+//!   every worker, in every later batch and every later epoch that
+//!   still shares the site. An update empties only the touched sites'
+//!   memos. The memos hold at most `Σ_f deg(f)²` relations of at most
+//!   `|DS|²` tuples each; `BatchStats::segments_memoized` counts the
+//!   hits.
 //! * **Load shedding.** The bounded queue never blocks producers: at
 //!   capacity, [`Server::submit`] / [`Server::try_query_batch`] return
 //!   [`Overloaded`] with a retry-after hint and the blocking wrappers
@@ -225,6 +234,14 @@ mod tests {
         assert!(
             stats.scratch.sweeps > 0,
             "workers really used their scratch"
+        );
+        // Cross-grid reads share interior segments through the
+        // snapshot's transit memos, and the worker logs merge the count.
+        assert!(
+            stats.batch.segments_memoized > 0
+                && stats.batch.segments_memoized <= stats.batch.segments_computed,
+            "{:?}",
+            stats.batch
         );
     }
 

@@ -1091,6 +1091,7 @@ fn add_batch_stats(into: &mut BatchStats, from: &BatchStats) {
     into.plans_reused += from.plans_reused;
     into.segments_computed += from.segments_computed;
     into.segments_reused += from.segments_reused;
+    into.segments_memoized += from.segments_memoized;
 }
 
 /// The supervisor wrapping one reader worker: respawn the worker body
@@ -1314,10 +1315,11 @@ fn process_batch(
     // Group the remaining misses by fragment pair. The sharing itself
     // is order-independent (the batch kernel caches chain plans per
     // fragment pair and interior segments per chain for the whole
-    // call); the sort makes same-pair queries evaluate back-to-back
-    // while their interior relations are CPU-cache-hot, and makes a
-    // batch's evaluation order independent of client arrival
-    // interleaving.
+    // call, and interior segments already swept by any worker come
+    // from the snapshot's transit memos); the sort makes same-pair
+    // queries evaluate back-to-back while their interior relations are
+    // CPU-cache-hot, and makes a batch's evaluation order independent
+    // of client arrival interleaving.
     let planner = snap.planner();
     // Workload recorder: sampled per *request* (not per distinct slot —
     // hot duplicates are exactly the signal), one vertex pair and one

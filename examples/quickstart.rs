@@ -60,18 +60,20 @@ fn main() {
         assert!(sys.connected(a, b));
 
         // Batch evaluation: chain planning (and the interior segment
-        // relations) are computed once per fragment pair and shared.
+        // relations) are computed once per fragment pair and shared; the
+        // inline backend also memoizes interior segments across batches.
         let requests: Vec<QueryRequest> = (0..8u32)
             .map(|i| QueryRequest::new(NodeId(i), NodeId(47 - i)))
             .collect();
         let batch = sys.query_batch(&requests);
         println!(
-            "batch of {}: {} plans computed, {} reused; {} segments computed, {} reused \
-             ({:.0}% of work amortized)",
+            "batch of {}: {} plans computed, {} reused; {} segments computed \
+             ({} from the memo), {} reused ({:.0}% of work amortized)",
             batch.stats.queries,
             batch.stats.plans_computed,
             batch.stats.plans_reused,
             batch.stats.segments_computed,
+            batch.stats.segments_memoized,
             batch.stats.segments_reused,
             batch.stats.amortization() * 100.0
         );

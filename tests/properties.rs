@@ -908,8 +908,8 @@ fn concurrent_readers_match_their_epoch_oracle() {
 
 /// Structural sharing across snapshot epochs: after maintaining a cloned
 /// successor snapshot, every site *not* touched by the update still
-/// shares — `Arc::ptr_eq` — its augmented graph, real-hop set and
-/// shortcut table with the predecessor epoch, on both fragmenter
+/// shares — `Arc::ptr_eq` — its augmented graph, transit memo, real-hop
+/// set and shortcut table with the predecessor epoch, on both fragmenter
 /// families (linear sweep and center growth). This is the invariant that
 /// makes the serve writer's per-epoch publication O(touched sites).
 #[test]
@@ -998,18 +998,25 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
                     let touched = m.touched_sites.contains(&f);
                     let shared_aug =
                         Arc::ptr_eq(prev.augmented_handle(f), next.augmented_handle(f));
+                    let shared_transit =
+                        Arc::ptr_eq(prev.transit_handle(f), next.transit_handle(f));
                     let shared_hops =
                         Arc::ptr_eq(prev.real_hops_handle(f), next.real_hops_handle(f));
                     let shared_table = Arc::ptr_eq(
                         prev.complementary().shortcuts_handle(f),
                         next.complementary().shortcuts_handle(f),
                     );
-                    if !touched {
+                    if touched {
                         assert!(
-                            shared_aug && shared_hops && shared_table,
+                            !shared_transit,
+                            "{label}: touched site {f}'s transit memo must be replaced"
+                        );
+                    } else {
+                        assert!(
+                            shared_aug && shared_transit && shared_hops && shared_table,
                             "{label}: untouched site {f} must stay shared after \
-                             {update:?} (aug {shared_aug}, hops {shared_hops}, \
-                             table {shared_table}; touched {:?})",
+                             {update:?} (aug {shared_aug}, transit {shared_transit}, \
+                             hops {shared_hops}, table {shared_table}; touched {:?})",
                             m.touched_sites
                         );
                     }
@@ -1041,6 +1048,291 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
             assert!(applied >= 10, "{label}: not enough applicable updates");
         }
     }
+}
+
+/// Every filled transit-memo entry of `snap` equals a fresh
+/// `border_matrix` sweep of the same segment on the snapshot's own
+/// augmented graph. Returns the number of entries checked.
+fn assert_memos_exact(snap: &discset::closure::snapshot::EngineSnapshot, label: &str) -> usize {
+    use discset::closure::local::border_matrix;
+    let planner = snap.planner();
+    let mut checked = 0;
+    for f in 0..snap.site_count() {
+        for (prev, next, memo) in snap.transit_handle(f).entries() {
+            let sweep = border_matrix(
+                snap.augmented_handle(f),
+                planner.ds_between(prev, f),
+                planner.ds_between(f, next),
+            );
+            assert_eq!(
+                *memo, sweep,
+                "{label}: site {f}'s memoized segment {prev}->{f}->{next} differs from a sweep"
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
+/// Answer `pairs` through `snap` (as one batch and as single queries)
+/// and compare every answer with Dijkstra on the snapshot's graph.
+fn assert_snapshot_exact(
+    snap: &discset::closure::snapshot::EngineSnapshot,
+    pairs: &[(NodeId, NodeId)],
+    scratch: &mut discset::graph::ScratchDijkstra,
+    label: &str,
+) {
+    let requests: Vec<QueryRequest> = pairs.iter().map(|&p| p.into()).collect();
+    let batch = snap.query_batch(&requests, scratch);
+    assert!(batch.stats.segments_memoized <= batch.stats.segments_computed);
+    for (&(x, y), got) in pairs.iter().zip(batch.costs()) {
+        let want = baseline::shortest_path_cost(snap.graph(), x, y);
+        assert_eq!(got, want, "{label}: batch {x}->{y}");
+        assert_eq!(
+            snap.shortest_path(x, y, scratch).cost,
+            want,
+            "{label}: single {x}->{y}"
+        );
+    }
+}
+
+/// The transit memo is bit-identical to the sweeps it replaces and
+/// follows updates: over transportation and general graphs, a cyclic
+/// fragmentation (enumerated chains), a PHE hub and both complementary
+/// scopes, every answer equals the Dijkstra oracle and every filled
+/// memo entry equals a fresh sweep. Through seeded inserts and removes
+/// on cloned successors (one crossing removal, which recomputes in
+/// full), the touched sites' memos are fresh and empty, every other
+/// site's memo stays `Arc::ptr_eq` with the previous epoch — and, still
+/// shared, stays exact on the new epoch.
+#[test]
+fn transit_memos_equal_sweeps_and_follow_updates() {
+    use discset::closure::phe::hub_fragmentation;
+    use discset::closure::snapshot::EngineSnapshot;
+    use discset::closure::ComplementaryScope;
+    use discset::fragment::{semantic, CrossingPolicy, Fragmentation};
+    use discset::gen::ClusterTopology;
+    use discset::graph::ScratchDijkstra;
+    use discset::NetworkUpdate;
+    use std::sync::Arc;
+
+    let mut scratch = ScratchDijkstra::new();
+    let (mut memo_entries, mut crossings) = (0, 0);
+    for seed in 0..3u64 {
+        let general = generate_general(
+            &GeneralConfig {
+                nodes: 28,
+                target_edges: 64,
+                ..Default::default()
+            },
+            seed,
+        );
+        let transport = |topology| {
+            generate_transportation(
+                &TransportationConfig {
+                    clusters: 4,
+                    nodes_per_cluster: 8,
+                    target_edges_per_cluster: 18,
+                    topology,
+                    ..TransportationConfig::default()
+                },
+                seed,
+            )
+        };
+        let chain = transport(ClusterTopology::Chain);
+        let ring = transport(ClusterTopology::Ring);
+        let by_labels = |g: &discset::gen::GeneratedGraph| {
+            semantic::by_labels(
+                g.nodes,
+                &g.connections,
+                g.cluster_of.as_ref().unwrap(),
+                4,
+                CrossingPolicy::LowerBlock,
+            )
+            .unwrap()
+        };
+        let linear = linear_sweep(
+            &general.edge_list(),
+            &LinearConfig {
+                fragments: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .fragmentation;
+        let (hub_frag, hub) = hub_fragmentation(
+            ring.nodes,
+            &ring.connections,
+            ring.cluster_of.as_ref().unwrap(),
+            4,
+        )
+        .unwrap();
+        let ring_frag = by_labels(&ring);
+        assert!(
+            !ring_frag.fragmentation_graph().is_acyclic(),
+            "ring is cyclic"
+        );
+
+        // The per-DS scope is exact only on loosely connected
+        // fragmentations, so the cyclic ring runs the per-border scope.
+        let per_ds = ComplementaryScope::PerDisconnectionSet;
+        let per_border = ComplementaryScope::PerFragmentBorder;
+        let cases: Vec<(
+            &str,
+            &discset::gen::GeneratedGraph,
+            Fragmentation,
+            _,
+            Option<usize>,
+        )> = vec![
+            (
+                "general/linear/per-ds",
+                &general,
+                linear.clone(),
+                per_ds,
+                None,
+            ),
+            (
+                "general/linear/per-border",
+                &general,
+                linear,
+                per_border,
+                None,
+            ),
+            (
+                "chain/labels/per-ds",
+                &chain,
+                by_labels(&chain),
+                per_ds,
+                None,
+            ),
+            (
+                "chain/labels/per-border",
+                &chain,
+                by_labels(&chain),
+                per_border,
+                None,
+            ),
+            ("ring/labels/per-border", &ring, ring_frag, per_border, None),
+            (
+                "ring/hub/per-ds",
+                &ring,
+                hub_frag.clone(),
+                per_ds,
+                Some(hub),
+            ),
+            (
+                "ring/hub/per-border",
+                &ring,
+                hub_frag,
+                per_border,
+                Some(hub),
+            ),
+        ];
+        for (name, g, frag, scope, hub) in cases {
+            let label = format!("seed {seed} {name}");
+            let cfg = EngineConfig {
+                scope,
+                hub,
+                ..EngineConfig::default()
+            };
+            let mut prev = EngineSnapshot::build(g.closure_graph(), frag, true, cfg).unwrap();
+            let sites = prev.site_count();
+            assert!(
+                (0..sites).all(|f| prev.transit_handle(f).entries().count() == 0),
+                "{label}: memos start empty"
+            );
+            // Warm on every pair, then check answers again over warm memos.
+            let all: Vec<(NodeId, NodeId)> = (0..g.nodes as u32)
+                .flat_map(|x| (0..g.nodes as u32).map(move |y| (NodeId(x), NodeId(y))))
+                .collect();
+            assert_snapshot_exact(&prev, &all, &mut scratch, &label);
+            memo_entries += assert_memos_exact(&prev, &label);
+            if let Some(h) = hub {
+                assert!(
+                    prev.transit_handle(h).entries().count() > 0,
+                    "{label}: cluster-to-cluster chains cross the hub"
+                );
+            }
+
+            let mut rng = StdRng::seed_from_u64(0x7A11 ^ seed << 8 ^ sites as u64);
+            let mut applied = 0;
+            let mut crossed = false;
+            for step in 0..200 {
+                if applied >= 8 && crossed {
+                    break;
+                }
+                // One removal of a crossing edge (both endpoints border
+                // nodes) once the random updates are in; else random.
+                let crossing = (applied >= 8).then(|| {
+                    let frag = prev.fragmentation();
+                    let border = |v| frag.fragments_of_node(v).len() >= 2;
+                    frag.fragments().iter().find_map(|f| {
+                        f.edges()
+                            .iter()
+                            .find(|e| border(e.src) && border(e.dst))
+                            .map(|e| NetworkUpdate::Remove {
+                                src: e.src,
+                                dst: e.dst,
+                                owner: f.id(),
+                            })
+                    })
+                });
+                let update = match crossing {
+                    Some(Some(u)) => u,
+                    Some(None) => break, // no crossing edge in this fragmentation
+                    None => match arb_update(&mut rng, prev.fragmentation()) {
+                        Some(u) => u,
+                        None => continue,
+                    },
+                };
+                let mut next = prev.clone();
+                let Ok(m) = next.maintain_cow(&update, &mut scratch) else {
+                    continue;
+                };
+                if m.owner.is_none() {
+                    continue;
+                }
+                if crossing.is_some() {
+                    assert!(
+                        m.report.full_recompute,
+                        "{label}: crossing removal recomputes"
+                    );
+                    crossed = true;
+                    crossings += 1;
+                } else {
+                    applied += 1;
+                }
+                let step_label = format!("{label} step {step} {update:?}");
+                for f in 0..sites {
+                    let shared = Arc::ptr_eq(prev.transit_handle(f), next.transit_handle(f));
+                    if m.touched_sites.contains(&f) {
+                        assert!(!shared, "{step_label}: touched site {f} keeps its memo");
+                        assert_eq!(
+                            next.transit_handle(f).entries().count(),
+                            0,
+                            "{step_label}: touched site {f}'s memo is not fresh"
+                        );
+                    } else {
+                        assert!(shared, "{step_label}: untouched site {f} lost its memo");
+                    }
+                }
+                let pairs: Vec<(NodeId, NodeId)> = (0..40)
+                    .map(|_| {
+                        (
+                            NodeId(rng.gen_index(g.nodes) as u32),
+                            NodeId(rng.gen_index(g.nodes) as u32),
+                        )
+                    })
+                    .collect();
+                assert_snapshot_exact(&next, &pairs, &mut scratch, &step_label);
+                memo_entries += assert_memos_exact(&next, &step_label);
+                prev = next;
+            }
+            assert!(applied >= 8, "{label}: not enough applicable updates");
+        }
+    }
+    assert!(memo_entries > 0, "no memo entry was ever filled");
+    assert!(crossings > 0, "no crossing removal was exercised");
 }
 
 /// Complementary shortcut costs obey the triangle inequality with the
