@@ -3,8 +3,9 @@
 //! Compares, on both `TcEngine` backends (inline and site-threads),
 //! answering a workload of shortest-path requests one query at a time vs
 //! through `query_batch`, which enumerates fragment chains once per
-//! (source-fragment, target-fragment) pair and reuses the interior
-//! segment relations of each chain across the whole batch.
+//! (source-fragment, target-fragment) pair. Both paths read the interior
+//! segment relations of each chain from the snapshot's transit memos,
+//! so after the first query only the endpoint subqueries reach a site.
 //!
 //! Emits a committed perf snapshot to `BENCH_batch.json` (repo root).
 //!
@@ -77,12 +78,12 @@ fn main() {
         let stats = sys.query_batch(&requests).stats;
         amortization.push(format!(
             "{name}: {} queries -> {} plans computed ({} reused), \
-             {} segments computed ({} reused), {:.0}% amortized",
+             {} segments computed ({} from the memo), {:.0}% amortized",
             stats.queries,
             stats.plans_computed,
             stats.plans_reused,
             stats.segments_computed,
-            stats.segments_reused,
+            stats.segments_memoized,
             stats.amortization() * 100.0
         ));
     }

@@ -18,8 +18,9 @@
 //! micro-batch size into work elimination — identical in-flight requests
 //! coalesce (single-flight), repeats across micro-batches hit the
 //! per-epoch answer cache, queries between the same fragment pair share
-//! one chain plan and one set of interior segments per batch
-//! (`run_batch_bounded`) — and, on many-core hardware, into genuine
+//! one chain plan per batch (`run_batch_bounded`), and interior segments
+//! come from the snapshot's transit memos — and, on many-core hardware,
+//! into genuine
 //! phase-one parallelism on top.
 //!
 //! **Seed sweep.** Every workload is generated at `SEEDS.len()` (≥ 3)
@@ -284,11 +285,11 @@ fn run_config(
     let stats = server.shutdown();
     if std::env::var_os("SERVE_BENCH_VERBOSE").is_some() {
         eprintln!(
-            "[serve]     {stats} | avg_batch={:.1} plans r/c={}/{} segs r/c={}/{} pubs={}",
+            "[serve]     {stats} | avg_batch={:.1} plans r/c={}/{} segs memo/c={}/{} pubs={}",
             stats.requests as f64 / stats.batches.max(1) as f64,
             stats.batch.plans_reused,
             stats.batch.plans_computed,
-            stats.batch.segments_reused,
+            stats.batch.segments_memoized,
             stats.batch.segments_computed,
             stats.publications,
         );

@@ -19,19 +19,21 @@
 //!   expensive chain enumeration runs once per (source-fragment,
 //!   target-fragment) pair instead of once per query;
 //! * [`run_batch_bounded`] — the one batch driver: besides reusing
-//!   plans, it caches the *interior* segment relations of each fragment
-//!   chain (those depend only on the disconnection sets, not on the query
-//!   endpoints), so a batch of k queries along one chain of length L
-//!   costs `L - 2 + 2k` site subqueries instead of `L·k`.
+//!   plans, it reads and fills the snapshot's per-site
+//!   [`crate::transit::TransitMemo`]s, which hold the *interior* segment
+//!   relations of the fragment chains (those depend only on the
+//!   disconnection sets, not on the query endpoints). Once a chain's
+//!   interior segments are memoized, a query along it costs only its two
+//!   endpoint subqueries.
 //!
-//! Interior segments are also reused *across* batches: the inline
-//! evaluator behind [`EngineSnapshot`] answers them from the snapshot's
-//! per-site [`crate::transit::TransitMemo`], which every reader thread
-//! and every later epoch that shares the site reads. The memos hold at
-//! most `Σ_f deg(f)²` relations (one per ordered pair of a site's
-//! fragmentation-graph neighbours) of at most `|DS|²` tuples each. The
-//! site-threads backend has no memo: its sites evaluate every segment.
+//! The memo lives on the [`EngineSnapshot`], so it is shared by every
+//! reader thread, every batch and every later epoch that shares the site,
+//! and it serves every backend alike: the inline evaluator sweeps only
+//! the memo misses, the machine sends messages only for them. The memos
+//! hold at most `Σ_f deg(f)²` relations (one per ordered pair of a site's
+//! fragmentation-graph neighbours) of at most `|DS|²` tuples each.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,22 +81,21 @@ pub struct BatchStats {
     pub plans_computed: usize,
     /// Queries that reused a previously enumerated chain set.
     pub plans_reused: usize,
-    /// Segment relations evaluated at a site.
+    /// Segment relations the evaluated chains consist of: one per site
+    /// subquery, whether evaluated at a site or read from a memo.
     pub segments_computed: usize,
-    /// Segment relations served from the interior cache (no site work).
-    pub segments_reused: usize,
     /// Of `segments_computed`, the interior segments a snapshot's
-    /// transit memo answered without a sweep (always 0 on the
-    /// site-threads backend, which has no memo).
+    /// transit memo answered without site work.
     pub segments_memoized: usize,
 }
 
 impl BatchStats {
-    /// Fraction of per-query work avoided: reused / (computed + reused),
-    /// over plans and segments combined. 0.0 for a batch with no sharing.
+    /// Fraction of per-query work avoided: `(plans_reused +
+    /// segments_memoized) / (plans_computed + plans_reused +
+    /// segments_computed)`. 0.0 for a batch with no sharing.
     pub fn amortization(&self) -> f64 {
-        let reused = (self.plans_reused + self.segments_reused) as f64;
-        let total = reused + (self.plans_computed + self.segments_computed) as f64;
+        let reused = (self.plans_reused + self.segments_memoized) as f64;
+        let total = (self.plans_computed + self.plans_reused + self.segments_computed) as f64;
         if total == 0.0 {
             0.0
         } else {
@@ -105,10 +106,9 @@ impl BatchStats {
 
 /// Result of a batch: one [`QueryAnswer`] per request, in request order,
 /// plus the batch-level amortization stats. Per-answer [`QueryStats`]
-/// count only the site work actually performed *for that query* — work
-/// served from the batch caches shows up in [`BatchStats`] instead. A
-/// segment answered from a transit memo counts as a site query with its
-/// tuples shipped, but adds no site busy time.
+/// count every segment of the query's chains: a segment answered from a
+/// transit memo counts as a site query with its tuples shipped, but adds
+/// no site busy time.
 #[derive(Clone, Debug)]
 pub struct BatchAnswer {
     pub answers: Vec<QueryAnswer>,
@@ -199,9 +199,10 @@ pub trait TcEngine {
         Ok(UpdateBatchReport { reports })
     }
 
-    /// Answer many shortest-path requests, amortizing chain planning (and
-    /// interior segment evaluation) across the batch. Semantically
-    /// equivalent to calling [`TcEngine::shortest_path`] per request.
+    /// Answer many shortest-path requests, amortizing chain planning
+    /// across the batch (interior segments are memoized on the snapshot
+    /// for every query). Semantically equivalent to calling
+    /// [`TcEngine::shortest_path`] per request.
     fn query_batch(&mut self, requests: &[QueryRequest]) -> BatchAnswer;
 }
 
@@ -427,26 +428,18 @@ impl<'a> BatchPlanner<'a> {
 
 /// How a backend evaluates site subqueries for the shared batch driver.
 ///
-/// `positions` indexes into `chain.queries`; implementations return the
-/// segment relations in the same order and add the site accounting (site
-/// queries run, tuples produced, busy time) to `stats`. The inline
-/// backend runs them on the calling thread; the machine backend turns
-/// each position into a request message.
+/// `positions` indexes into `chain.queries`: the endpoint subqueries and
+/// the interior ones not yet memoized. Implementations return the segment
+/// relations in the same order and add the site accounting to `stats`,
+/// or `None` when a site failed. The inline backend sweeps on the calling
+/// thread; the machine backend sends one message per position.
 pub trait SiteEvaluator {
     fn eval_positions(
         &mut self,
         chain: &ChainPlan,
         positions: &[usize],
         stats: &mut QueryStats,
-    ) -> Vec<Relation<PathTuple>>;
-
-    /// Segments this evaluator has answered from a memo without a sweep,
-    /// over its lifetime; [`run_batch_bounded`] reports the growth across
-    /// a batch as [`BatchStats::segments_memoized`]. Evaluators without a
-    /// memo keep the default 0.
-    fn memoized(&self) -> usize {
-        0
-    }
+    ) -> Option<Vec<Relation<PathTuple>>>;
 
     /// Called by [`run_batch_bounded`] before each request's evaluation
     /// with that request's trace id, so message-passing backends can
@@ -482,15 +475,14 @@ impl From<BoundedBatchAnswer> for BatchAnswer {
 /// The batch driver shared by every backend.
 ///
 /// Per request: plan through the [`BatchPlanner`] (chain enumeration once
-/// per fragment-pair), then evaluate each chain. For chains of length
-/// ≥ 3 the interior subqueries — `DS(f_{i-1}, f_i) -> DS(f_i, f_{i+1})`,
-/// which do not mention the query endpoints — are evaluated once per
-/// distinct fragment chain and reused across the whole batch; only the
-/// first and last site subqueries are endpoint-specific. The interior
-/// cache lives only as long as the batch; an evaluator may also keep
-/// interior segments across batches (the inline evaluator's transit
-/// memo), and reports the segments it served that way through
-/// [`SiteEvaluator::memoized`].
+/// per fragment-pair), then evaluate each chain with `chain_segments`:
+/// the interior subqueries — `DS(f_{i-1}, f_i) -> DS(f_i, f_{i+1})`,
+/// which do not mention the query endpoints — are read from `snap`'s
+/// transit memos, and only the endpoint subqueries and the memo misses
+/// go to `eval`, in one call per chain. The misses' results fill the
+/// memos, so later requests, batches and readers of the snapshot reuse
+/// them. An evaluator failure (`None`) fills nothing and leaves that
+/// request unanswered (`None`).
 ///
 /// Tracing: `traces[i]` is request `i`'s [`TraceId`] (an empty slice
 /// means untraced), and when `sink` is given, one [`EvalTrace`] per
@@ -506,27 +498,24 @@ impl From<BoundedBatchAnswer> for BatchAnswer {
 /// request — between fragment chains, so even a pathological
 /// multi-chain evaluation is abandoned at the next chain boundary rather
 /// than running to completion. A cancelled request yields `None`; work
-/// already performed for it (plans, interior segments) stays in the
-/// batch caches and keeps benefiting the remaining requests. The serve
-/// tier threads each job's admission-stamped deadline through here and
-/// resolves `None` slots with [`ClosureError::DeadlineExceeded`].
-/// Without deadlines every slot is answered, and `.into()` gives the
-/// plain [`BatchAnswer`].
+/// already performed for it (plans, memoized interior segments) keeps
+/// benefiting the remaining requests. The serve tier threads each job's
+/// admission-stamped deadline through here and resolves `None` slots
+/// with [`ClosureError::DeadlineExceeded`]. Without deadlines every slot
+/// is answered, and `.into()` gives the plain [`BatchAnswer`].
 pub fn run_batch_bounded<E: SiteEvaluator>(
-    planner: &Planner,
+    snap: &EngineSnapshot,
     eval: &mut E,
     requests: &[QueryRequest],
     traces: &[TraceId],
     mut sink: Option<&mut Vec<EvalTrace>>,
     deadlines: &[Option<Instant>],
 ) -> BoundedBatchAnswer {
-    let mut bp = BatchPlanner::new(planner);
-    let mut interiors: HashMap<Vec<FragmentId>, Vec<Relation<PathTuple>>> = HashMap::new();
+    let mut bp = BatchPlanner::new(snap.planner());
     let mut stats = BatchStats {
         queries: requests.len(),
         ..BatchStats::default()
     };
-    let memoized_before = eval.memoized();
     let mut answers = Vec::with_capacity(requests.len());
     for (i, req) in requests.iter().enumerate() {
         let trace = traces.get(i).copied().unwrap_or(TraceId::NONE);
@@ -540,10 +529,9 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
         let t0 = sink.as_ref().map(|_| Instant::now());
         let deadline = deadlines.get(i).copied().flatten();
         answers.push(one_query(
-            planner,
+            snap,
             eval,
             &mut bp,
-            &mut interiors,
             &mut stats,
             req,
             et.as_mut(),
@@ -554,16 +542,13 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
             sink.push(et);
         }
     }
-    stats.segments_memoized = eval.memoized().saturating_sub(memoized_before);
     BoundedBatchAnswer { answers, stats }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn one_query<E: SiteEvaluator>(
-    planner: &Planner,
+    snap: &EngineSnapshot,
     eval: &mut E,
     bp: &mut BatchPlanner<'_>,
-    interiors: &mut HashMap<Vec<FragmentId>, Vec<Relation<PathTuple>>>,
     bstats: &mut BatchStats,
     req: &QueryRequest,
     mut tr: Option<&mut EvalTrace>,
@@ -573,7 +558,7 @@ fn one_query<E: SiteEvaluator>(
     if x == y {
         return Some(QueryAnswer {
             cost: Some(0),
-            best_chain: planner.fragments_of(x).first().map(|&f| vec![f]),
+            best_chain: snap.planner().fragments_of(x).first().map(|&f| vec![f]),
             stats: QueryStats::default(),
         });
     }
@@ -606,34 +591,8 @@ fn one_query<E: SiteEvaluator>(
         }
         let chain_t0 = tr.as_ref().map(|_| std::time::Instant::now());
         qstats.chains_evaluated += 1;
-        let l = chain.queries.len();
-        let cost = if l <= 2 {
-            // No interior: every subquery mentions an endpoint.
-            let positions: Vec<usize> = (0..l).collect();
-            let segs = eval.eval_positions(chain, &positions, &mut qstats);
-            bstats.segments_computed += segs.len();
-            assemble::chain_cost(&segs, x, y)
-        } else {
-            // The interior segments are assembled by reference from the
-            // batch cache — evaluated at most once per fragment chain,
-            // never cloned per query.
-            if !interiors.contains_key(&chain.fragments) {
-                let positions: Vec<usize> = (1..l - 1).collect();
-                let segs = eval.eval_positions(chain, &positions, &mut qstats);
-                bstats.segments_computed += segs.len();
-                interiors.insert(chain.fragments.clone(), segs);
-            } else {
-                bstats.segments_reused += l - 2;
-            }
-            let interior = &interiors[&chain.fragments];
-            let ends = eval.eval_positions(chain, &[0, l - 1], &mut qstats);
-            bstats.segments_computed += ends.len();
-            let mut segments: Vec<&Relation<PathTuple>> = Vec::with_capacity(l);
-            segments.push(&ends[0]);
-            segments.extend(interior.iter());
-            segments.push(&ends[1]);
-            assemble::chain_cost_refs(&segments, x, y)
-        };
+        let segments = chain_segments(snap, eval, chain, &mut qstats, bstats)?;
+        let cost = assemble::chain_cost(&segments, x, y);
         if let (Some(tr), Some(t0)) = (tr.as_deref_mut(), chain_t0) {
             tr.chains.push(ChainEval {
                 chain: chain_idx as u32,
@@ -655,6 +614,48 @@ fn one_query<E: SiteEvaluator>(
         best_chain,
         stats: qstats,
     })
+}
+
+/// The segment relations of `chain`, in chain order: interior segments
+/// borrowed from `snap`'s transit memos, the rest evaluated by `eval` in
+/// one call, with the memo misses filled in. A memo hit counts as a site
+/// query without busy time. `None` (and no fill) when `eval` failed.
+pub(crate) fn chain_segments<'s, E: SiteEvaluator>(
+    snap: &'s EngineSnapshot,
+    eval: &mut E,
+    chain: &ChainPlan,
+    qstats: &mut QueryStats,
+    bstats: &mut BatchStats,
+) -> Option<Vec<Cow<'s, Relation<PathTuple>>>> {
+    let l = chain.queries.len();
+    // An interior subquery's memo slot, keyed by the fragments before
+    // and after it.
+    let slot = |p: usize| {
+        if p == 0 || p + 1 == l {
+            return None;
+        }
+        let memo = snap.transit_handle(chain.queries[p].site);
+        memo.slot(chain.fragments[p - 1], chain.fragments[p + 1])
+    };
+    let mut segments: Vec<Option<Cow<'s, Relation<PathTuple>>>> = (0..l)
+        .map(|p| {
+            let hit = slot(p)?.get()?;
+            qstats.site_queries += 1;
+            qstats.tuples_shipped += hit.len();
+            bstats.segments_memoized += 1;
+            Some(Cow::Borrowed(hit))
+        })
+        .collect();
+    let misses: Vec<usize> = (0..l).filter(|&p| segments[p].is_none()).collect();
+    let evaluated = eval.eval_positions(chain, &misses, qstats)?;
+    for (p, seg) in misses.into_iter().zip(evaluated) {
+        segments[p] = Some(match slot(p) {
+            Some(slot) => Cow::Borrowed(slot.get_or_init(|| seg)),
+            None => Cow::Owned(seg),
+        });
+    }
+    bstats.segments_computed += l;
+    segments.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -687,10 +688,23 @@ mod tests {
         )
     }
 
+    /// `frag` deployed as a snapshot over the (symmetric) union of its
+    /// fragments' edges.
+    fn deploy(frag: Fragmentation) -> EngineSnapshot {
+        let edges: Vec<Edge> = frag
+            .fragments()
+            .iter()
+            .flat_map(|f| f.edges())
+            .flat_map(|e| [*e, e.reversed()])
+            .collect();
+        let graph = CsrGraph::from_edges(frag.node_count(), &edges);
+        EngineSnapshot::build(graph, frag, true, EngineConfig::default()).unwrap()
+    }
+
     /// Counts evaluations; answers with the local border matrix over the
-    /// fragments' (symmetric) unit path graphs.
+    /// snapshot's augmented graphs.
     struct CountingEval {
-        augmented: Vec<CsrGraph>,
+        augmented: Vec<Arc<CsrGraph>>,
         evaluated: usize,
     }
 
@@ -700,8 +714,8 @@ mod tests {
             chain: &ChainPlan,
             positions: &[usize],
             stats: &mut QueryStats,
-        ) -> Vec<Relation<PathTuple>> {
-            positions
+        ) -> Option<Vec<Relation<PathTuple>>> {
+            let segments = positions
                 .iter()
                 .map(|&p| {
                     let q: &SiteQuery = &chain.queries[p];
@@ -709,18 +723,16 @@ mod tests {
                     stats.site_queries += 1;
                     crate::local::border_matrix(&self.augmented[q.site], &q.sources, &q.targets)
                 })
-                .collect()
+                .collect();
+            Some(segments)
         }
     }
 
-    fn counting_eval(frag: &Fragmentation) -> CountingEval {
-        let augmented = frag
-            .fragments()
-            .iter()
-            .map(|f| augmented_graph(frag.node_count(), f.edges(), true, &[]))
-            .collect();
+    fn counting_eval(snap: &EngineSnapshot) -> CountingEval {
         CountingEval {
-            augmented,
+            augmented: (0..snap.site_count())
+                .map(|f| Arc::clone(snap.augmented_handle(f)))
+                .collect(),
             evaluated: 0,
         }
     }
@@ -740,38 +752,64 @@ mod tests {
 
     #[test]
     fn batch_reuses_interior_segments() {
-        let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
-        let mut eval = counting_eval(&frag);
+        let snap = deploy(three_fragment_path());
+        let mut eval = counting_eval(&snap);
         // Three cross-chain queries share the one interior subquery of the
-        // length-3 chain: 1 interior + 2 endpoints x 3 queries = 7 evals,
-        // not 9.
+        // length-3 chain: the first fills site 1's memo, the other two
+        // read it — 1 interior + 2 endpoints x 3 queries = 7 evals, not 9.
         let requests: Vec<QueryRequest> = [(0, 6), (1, 5), (0, 5)]
             .iter()
             .map(|&(a, b)| (n(a), n(b)).into())
             .collect();
         let batch: BatchAnswer =
-            run_batch_bounded(&planner, &mut eval, &requests, &[], None, &[]).into();
-        assert_eq!(batch.answers.len(), 3);
-        for (i, a) in batch.answers.iter().enumerate() {
-            assert!(a.cost.is_some(), "query {i} reachable");
-        }
-        assert_eq!(batch.answers[0].cost, Some(6), "0->6 over the unit path");
+            run_batch_bounded(&snap, &mut eval, &requests, &[], None, &[]).into();
+        assert_eq!(batch.costs(), vec![Some(6), Some(4), Some(5)]);
         assert_eq!(eval.evaluated, 7, "interior segment computed once");
         assert_eq!(batch.stats.plans_computed, 1);
         assert_eq!(batch.stats.plans_reused, 2);
-        assert_eq!(batch.stats.segments_reused, 2);
-        assert!(batch.stats.amortization() > 0.3);
+        assert_eq!(batch.stats.segments_computed, 9);
+        assert_eq!(batch.stats.segments_memoized, 2);
+        // (2 plans + 2 segments reused) / (3 plans + 9 segments).
+        assert!((batch.stats.amortization() - 1.0 / 3.0).abs() < 1e-12);
+        // Every query counts its memoized segment as a site query.
+        for a in &batch.answers {
+            assert_eq!(a.stats.site_queries, 3);
+        }
+        // The memo outlives the batch: a later batch evaluates only the
+        // two endpoint subqueries.
+        let again = run_batch_bounded(&snap, &mut eval, &requests[..1], &[], None, &[]);
+        assert_eq!(eval.evaluated, 9);
+        assert_eq!(again.stats.segments_memoized, 1);
+    }
+
+    #[test]
+    fn failed_evaluation_fills_nothing_and_answers_none() {
+        struct Failing;
+        impl SiteEvaluator for Failing {
+            fn eval_positions(
+                &mut self,
+                _: &ChainPlan,
+                _: &[usize],
+                _: &mut QueryStats,
+            ) -> Option<Vec<Relation<PathTuple>>> {
+                None
+            }
+        }
+        let snap = deploy(three_fragment_path());
+        let requests = [QueryRequest::new(n(0), n(6)), QueryRequest::new(n(3), n(3))];
+        let batch = run_batch_bounded(&snap, &mut Failing, &requests, &[], None, &[]);
+        assert!(batch.answers[0].is_none(), "failed request is unanswered");
+        assert_eq!(batch.answers[1].as_ref().and_then(|a| a.cost), Some(0));
+        assert!((0..3).all(|f| snap.transit_handle(f).entries().count() == 0));
     }
 
     #[test]
     fn batch_same_node_and_unknown_node() {
-        let frag = Fragmentation::new(3, vec![edges(&[(0, 1)])], vec![vec![]]);
-        let planner = Planner::new(&frag, 16, 8, None);
-        let mut eval = counting_eval(&frag);
+        let snap = deploy(Fragmentation::new(3, vec![edges(&[(0, 1)])], vec![vec![]]));
+        let mut eval = counting_eval(&snap);
         let requests = vec![QueryRequest::new(n(1), n(1)), QueryRequest::new(n(0), n(2))];
         let batch: BatchAnswer =
-            run_batch_bounded(&planner, &mut eval, &requests, &[], None, &[]).into();
+            run_batch_bounded(&snap, &mut eval, &requests, &[], None, &[]).into();
         assert_eq!(batch.answers[0].cost, Some(0));
         assert_eq!(
             batch.answers[1].cost, None,
@@ -781,26 +819,18 @@ mod tests {
 
     #[test]
     fn traced_batch_matches_untraced_and_times_chains() {
-        let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
+        let snap = deploy(three_fragment_path());
         let requests: Vec<QueryRequest> = [(0, 6), (1, 5), (3, 3)]
             .iter()
             .map(|&(a, b)| (n(a), n(b)).into())
             .collect();
-        let plain: BatchAnswer = run_batch_bounded(
-            &planner,
-            &mut counting_eval(&frag),
-            &requests,
-            &[],
-            None,
-            &[],
-        )
-        .into();
+        let plain: BatchAnswer =
+            run_batch_bounded(&snap, &mut counting_eval(&snap), &requests, &[], None, &[]).into();
         let traces: Vec<TraceId> = (1..=3).map(TraceId).collect();
         let mut sink = Vec::new();
         let traced: BatchAnswer = run_batch_bounded(
-            &planner,
-            &mut counting_eval(&frag),
+            &snap,
+            &mut counting_eval(&snap),
             &requests,
             &traces,
             Some(&mut sink),
@@ -831,22 +861,21 @@ mod tests {
                 chain: &ChainPlan,
                 positions: &[usize],
                 stats: &mut QueryStats,
-            ) -> Vec<Relation<PathTuple>> {
+            ) -> Option<Vec<Relation<PathTuple>>> {
                 self.inner.eval_positions(chain, positions, stats)
             }
             fn begin_query(&mut self, trace: TraceId) {
                 self.seen.push(trace);
             }
         }
-        let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
+        let snap = deploy(three_fragment_path());
         let requests = vec![QueryRequest::new(n(0), n(6)), QueryRequest::new(n(1), n(4))];
         let mut eval = SpyEval {
-            inner: counting_eval(&frag),
+            inner: counting_eval(&snap),
             seen: Vec::new(),
         };
         run_batch_bounded(
-            &planner,
+            &snap,
             &mut eval,
             &requests,
             &[TraceId(9), TraceId(10)],
@@ -856,7 +885,7 @@ mod tests {
         assert_eq!(eval.seen, vec![TraceId(9), TraceId(10)]);
         // Untraced batches never call begin_query.
         eval.seen.clear();
-        run_batch_bounded(&planner, &mut eval, &requests, &[], None, &[]);
+        run_batch_bounded(&snap, &mut eval, &requests, &[], None, &[]);
         assert!(eval.seen.is_empty());
     }
 

@@ -6,6 +6,7 @@
 //! junction nodes that achieve the minimum are recovered with a dynamic
 //! program over the same relations (for route reconstruction).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use ds_graph::{Cost, NodeId};
@@ -13,17 +14,16 @@ use ds_relation::join::compose_min_plus;
 use ds_relation::{PathTuple, Relation};
 
 /// Fold the chain's segment relations into an end-to-end relation and
-/// read the `(x, y)` cost.
-pub fn chain_cost(segments: &[Relation<PathTuple>], x: NodeId, y: NodeId) -> Option<Cost> {
-    chain_cost_refs(&segments.iter().collect::<Vec<_>>(), x, y)
-}
-
-/// [`chain_cost`] over borrowed segments — lets batch evaluation fold
-/// cached interior relations without cloning them per query.
-pub fn chain_cost_refs(segments: &[&Relation<PathTuple>], x: NodeId, y: NodeId) -> Option<Cost> {
-    let mut acc = (*segments.first()?).clone();
+/// read the `(x, y)` cost. Segments may be owned or borrowed (the batch
+/// driver folds memoized interior relations without cloning them).
+pub fn chain_cost<S: Borrow<Relation<PathTuple>>>(
+    segments: &[S],
+    x: NodeId,
+    y: NodeId,
+) -> Option<Cost> {
+    let mut acc = segments.first()?.borrow().clone();
     for seg in &segments[1..] {
-        acc = compose_min_plus(&acc, seg);
+        acc = compose_min_plus(&acc, seg.borrow());
         if acc.is_empty() {
             return None;
         }
@@ -34,14 +34,14 @@ pub fn chain_cost_refs(segments: &[&Relation<PathTuple>], x: NodeId, y: NodeId) 
 /// Recover the cheapest junction sequence `x, w1, …, wk, y` through the
 /// segment relations, with its total cost. The `wi` are the disconnection
 /// set nodes the optimal path crosses — the paper's border cities.
-pub fn best_waypoints(
-    segments: &[Relation<PathTuple>],
+pub fn best_waypoints<S: Borrow<Relation<PathTuple>>>(
+    segments: &[S],
     x: NodeId,
     y: NodeId,
 ) -> Option<(Cost, Vec<NodeId>)> {
     // DP layer: node -> (cost from x, waypoints so far including node).
     let mut layer: HashMap<NodeId, (Cost, Vec<NodeId>)> = HashMap::new();
-    for t in segments.first()?.rows() {
+    for t in segments.first()?.borrow().rows() {
         if t.src != x {
             continue;
         }
@@ -52,7 +52,7 @@ pub fn best_waypoints(
     }
     for seg in &segments[1..] {
         let mut next: HashMap<NodeId, (Cost, Vec<NodeId>)> = HashMap::new();
-        for t in seg.rows() {
+        for t in seg.borrow().rows() {
             let Some((c0, path0)) = layer.get(&t.src) else {
                 continue;
             };
@@ -144,8 +144,9 @@ mod tests {
 
     #[test]
     fn empty_segment_list() {
-        assert_eq!(chain_cost(&[], n(0), n(1)), None);
-        assert_eq!(best_waypoints(&[], n(0), n(1)), None);
+        let none: [Relation<PathTuple>; 0] = [];
+        assert_eq!(chain_cost(&none, n(0), n(1)), None);
+        assert_eq!(best_waypoints(&none, n(0), n(1)), None);
     }
 
     #[test]

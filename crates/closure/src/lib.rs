@@ -21,7 +21,7 @@
 //! [`engine::DisconnectionSetEngine`] packages the pipeline; [`baseline`]
 //! holds the centralized algorithms the engine is validated against, and
 //! [`phe`] implements the Parallel Hierarchical Evaluation extension
-//! (ref [12]) for fragmentation graphs too complex to enumerate.
+//! (ref \[12\]) for fragmentation graphs too complex to enumerate.
 //!
 //! [`api`] defines [`TcEngine`], the backend-polymorphic query surface
 //! (single queries, routes, updates, and the amortized

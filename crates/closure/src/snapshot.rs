@@ -43,9 +43,11 @@
 //!
 //! Beside each site's augmented graph the snapshot holds that site's
 //! [`TransitMemo`]: the interior segments `DS(prev, f) → DS(f, next)`,
-//! which do not depend on the query endpoints, filled lazily by the
-//! first reader that evaluates each one and then read lock-free by every
-//! reader of every epoch that still shares the site. A memo is replaced
+//! which do not depend on the query endpoints. The batch driver
+//! ([`run_batch_bounded`]) fills them from whatever backend evaluated the
+//! segment first, and every reader of every epoch that still shares the
+//! site then reads them lock-free; [`EngineSnapshot::route`] reads them
+//! through the same path. A memo is replaced
 //! (by an empty one) exactly when its site's augmented graph is, so an
 //! update invalidates only the touched sites' segments; clones share
 //! the memos like every other per-site component, and
@@ -60,14 +62,14 @@ use ds_graph::{Cost, CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 use ds_relation::{PathTuple, Relation};
 
 use crate::api::{
-    build_parts, real_hop_set, run_batch_bounded, BatchAnswer, EngineParts, NetworkUpdate,
-    QueryRequest, RealHopSet, SiteEvaluator,
+    build_parts, chain_segments, real_hop_set, run_batch_bounded, BatchAnswer, BatchStats,
+    EngineParts, NetworkUpdate, QueryRequest, RealHopSet, SiteEvaluator,
 };
 use crate::assemble;
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
-use crate::executor::{run_chain, run_one};
+use crate::executor::run_one;
 use crate::local::augmented_graph;
 use crate::planner::{ChainPlan, Planner};
 use crate::transit::TransitMemo;
@@ -346,15 +348,23 @@ impl EngineSnapshot {
         y: NodeId,
         scratch: &mut ScratchDijkstra,
     ) -> Result<QueryAnswer, ClosureError> {
-        if x != y {
-            for v in [x, y] {
-                if self.planner.fragments_of(v).is_empty() {
-                    return Err(ClosureError::NodeNotInAnyFragment(v));
-                }
-            }
-        }
+        self.check_endpoints(x, y)?;
         let mut batch = self.query_batch(&[QueryRequest::new(x, y)], scratch);
         Ok(batch.answers.pop().unwrap_or_else(QueryAnswer::unreachable))
+    }
+
+    /// The strict single-query endpoint check every backend's
+    /// `try_shortest_path` makes: a query between distinct nodes errs
+    /// with [`ClosureError::NodeNotInAnyFragment`] for an endpoint in no
+    /// fragment (including ids beyond the graph).
+    pub fn check_endpoints(&self, x: NodeId, y: NodeId) -> Result<(), ClosureError> {
+        let outside = [x, y]
+            .into_iter()
+            .find(|&v| self.planner.fragments_of(v).is_empty());
+        match outside {
+            Some(v) if x != y => Err(ClosureError::NodeNotInAnyFragment(v)),
+            _ => Ok(()),
+        }
     }
 
     /// Connection query — "is `x` connected to `y`?".
@@ -415,11 +425,9 @@ impl EngineSnapshot {
     ) -> crate::api::BoundedBatchAnswer {
         let mut eval = InlineEval {
             augmented: &self.augmented,
-            transit: &self.transit,
             scratch,
-            memoized: 0,
         };
-        run_batch_bounded(&self.planner, &mut eval, requests, traces, sink, deadlines)
+        run_batch_bounded(self, &mut eval, requests, traces, sink, deadlines)
     }
 
     /// Reconstruct the full cheapest route. Requires
@@ -448,9 +456,21 @@ impl EngineSnapshot {
         }
         let plan = self.planner.plan(x, y)?;
         let mut best: Option<(Cost, Vec<NodeId>, Vec<FragmentId>)> = None;
+        let mut eval = InlineEval {
+            augmented: &self.augmented,
+            scratch,
+        };
         for chain in &plan.chains {
-            let (segments, _) = run_chain(&self.augmented, chain, self.cfg.mode, scratch);
-            if let Some((cost, waypoints)) = assemble::best_waypoints(&segments, x, y) {
+            // The same memo-reading evaluation as every query.
+            let segments = chain_segments(
+                self,
+                &mut eval,
+                chain,
+                &mut QueryStats::default(),
+                &mut BatchStats::default(),
+            );
+            let waypoints = segments.and_then(|segs| assemble::best_waypoints(&segs, x, y));
+            if let Some((cost, waypoints)) = waypoints {
                 if best.as_ref().is_none_or(|(b, _, _)| cost < *b) {
                     best = Some((cost, waypoints, chain.fragments.clone()));
                 }
@@ -620,16 +640,12 @@ fn empty_memos(planner: &Planner, sites: usize) -> Vec<Arc<TransitMemo>> {
     (0..sites).map(|f| empty_memo(planner, f)).collect()
 }
 
-/// Site evaluation for snapshot-backed (and inline-engine) batches:
-/// subqueries run on the calling thread against the caller's scratch,
-/// and interior subqueries are answered from (or filled into) the
-/// site's transit memo.
+/// Site evaluation for snapshot-backed (and inline-engine) batches: the
+/// given subqueries are swept on the calling thread against the caller's
+/// scratch.
 struct InlineEval<'a> {
     augmented: &'a [Arc<CsrGraph>],
-    transit: &'a [Arc<TransitMemo>],
     scratch: &'a mut ScratchDijkstra,
-    /// Segments answered from a memo without a sweep.
-    memoized: usize,
 }
 
 impl SiteEvaluator for InlineEval<'_> {
@@ -638,40 +654,19 @@ impl SiteEvaluator for InlineEval<'_> {
         chain: &ChainPlan,
         positions: &[usize],
         stats: &mut QueryStats,
-    ) -> Vec<Relation<PathTuple>> {
-        let mut segments = Vec::with_capacity(positions.len());
-        for &p in positions {
-            let q = &chain.queries[p];
-            // An interior subquery mentions no endpoint: it is keyed by
-            // the fragments the chain enters from and leaves towards.
-            let interior = (p > 0 && p + 1 < chain.fragments.len()).then(|| {
-                (
-                    &self.transit[q.site],
-                    chain.fragments[p - 1],
-                    chain.fragments[p + 1],
-                )
-            });
-            stats.site_queries += 1;
-            if let Some(seg) = interior.and_then(|(memo, prev, next)| memo.get(prev, next)) {
-                self.memoized += 1;
-                stats.tuples_shipped += seg.len();
-                segments.push(seg.clone());
-                continue;
-            }
-            let (seg, run) = run_one(self.augmented, q, self.scratch);
-            stats.tuples_shipped += run.tuples;
-            stats.total_site_busy += run.busy;
-            stats.max_site_busy = stats.max_site_busy.max(run.busy);
-            if let Some((memo, prev, next)) = interior {
-                memo.fill(prev, next, seg.clone());
-            }
-            segments.push(seg);
-        }
-        segments
-    }
-
-    fn memoized(&self) -> usize {
-        self.memoized
+    ) -> Option<Vec<Relation<PathTuple>>> {
+        let segments = positions
+            .iter()
+            .map(|&p| {
+                let (seg, run) = run_one(self.augmented, &chain.queries[p], self.scratch);
+                stats.site_queries += 1;
+                stats.tuples_shipped += run.tuples;
+                stats.total_site_busy += run.busy;
+                stats.max_site_busy = stats.max_site_busy.max(run.busy);
+                seg
+            })
+            .collect();
+        Some(segments)
     }
 }
 
@@ -691,7 +686,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::BatchStats;
     use crate::baseline;
     use ds_fragment::linear::{linear_sweep, LinearConfig};
     use ds_gen::deterministic::grid;

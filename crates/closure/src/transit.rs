@@ -6,17 +6,19 @@
 //! augmented graph and of the fixed disconnection sets alone — work the
 //! paper says "may be amortized over many queries" while updates are
 //! infrequent. A [`TransitMemo`] holds those relations for one site,
-//! keyed by the `(prev, next)` fragment pair, and is filled lazily by
-//! whichever reader first evaluates the segment.
+//! keyed by the `(prev, next)` fragment pair. It is read and filled only
+//! by the batch driver (`crate::api::run_batch_bounded`), whichever
+//! backend evaluated the segment: the inline sweep or a machine site.
 //!
 //! The table has one slot per ordered pair of the site's
 //! fragmentation-graph neighbours, so a snapshot's memos hold at most
 //! `Σ_f deg(f)²` relations of at most `|DS|²` tuples each. Slots are
 //! write-once [`OnceLock`]s: a read is one atomic load, a fill takes no
-//! lock while the sweep runs (two racing readers may both sweep; the
-//! first `set` wins and both relations are equal), and nothing can
-//! poison. The memo is derived state, valid exactly as long as its
-//! site's augmented graph: `EngineSnapshot` replaces the two together.
+//! lock while the segment is evaluated (two racing readers may both
+//! evaluate it; the first fill wins and both relations are equal), and
+//! nothing can poison. The memo is derived state, valid exactly as long
+//! as its site's augmented graph: `EngineSnapshot` replaces the two
+//! together.
 
 use std::sync::OnceLock;
 
@@ -45,26 +47,17 @@ impl TransitMemo {
     }
 
     /// The slot of the segment `prev → site → next`; `None` when either
-    /// fragment is not a neighbour (such a segment is never memoized).
-    fn slot(&self, prev: FragmentId, next: FragmentId) -> Option<&OnceLock<Relation<PathTuple>>> {
+    /// fragment is not a neighbour (such a segment is never memoized). A
+    /// filled slot keeps its first relation: a racing reader that
+    /// evaluated the same segment computed an equal one.
+    pub(crate) fn slot(
+        &self,
+        prev: FragmentId,
+        next: FragmentId,
+    ) -> Option<&OnceLock<Relation<PathTuple>>> {
         let i = self.neighbors.iter().position(|&f| f == prev)?;
         let j = self.neighbors.iter().position(|&f| f == next)?;
         self.slots.get(i * self.neighbors.len() + j)
-    }
-
-    /// The memoized segment `prev → site → next`, if filled.
-    pub(crate) fn get(&self, prev: FragmentId, next: FragmentId) -> Option<&Relation<PathTuple>> {
-        self.slot(prev, next)?.get()
-    }
-
-    /// Record the segment `prev → site → next`. A slot that is already
-    /// filled keeps its relation (a racing reader computed the same one);
-    /// a pair of non-neighbours is not recorded.
-    pub(crate) fn fill(&self, prev: FragmentId, next: FragmentId, segment: Relation<PathTuple>) {
-        if let Some(slot) = self.slot(prev, next) {
-            // An `Err` means another reader filled the slot first.
-            let _ = slot.set(segment);
-        }
     }
 
     /// Every filled entry as `(prev, next, segment)`.
@@ -90,13 +83,13 @@ mod tests {
     fn fills_once_and_ignores_non_neighbours() {
         let memo = TransitMemo::new(&[2, 5]);
         assert_eq!(memo.entries().count(), 0);
-        assert!(memo.get(2, 5).is_none());
-        memo.fill(2, 5, seg(3));
-        memo.fill(2, 5, seg(9)); // a late racer: the first fill stays
-        memo.fill(2, 7, seg(1)); // 7 is not a neighbour
-        assert_eq!(memo.get(2, 5), Some(&seg(3)));
-        assert!(memo.get(5, 2).is_none(), "ordered pairs");
-        assert!(memo.get(2, 7).is_none());
+        let slot = memo.slot(2, 5).unwrap();
+        assert!(slot.get().is_none());
+        assert_eq!(slot.get_or_init(|| seg(3)), &seg(3));
+        // A late racer gets the first fill back.
+        assert_eq!(slot.get_or_init(|| seg(9)), &seg(3));
+        assert!(memo.slot(5, 2).unwrap().get().is_none(), "ordered pairs");
+        assert!(memo.slot(2, 7).is_none(), "7 is not a neighbour");
         let entries: Vec<_> = memo.entries().collect();
         assert_eq!(entries, vec![(2, 5, &seg(3))]);
     }
@@ -104,7 +97,7 @@ mod tests {
     #[test]
     fn an_isolated_site_has_no_slots() {
         let memo = TransitMemo::new(&[]);
-        memo.fill(0, 1, seg(1));
+        assert!(memo.slot(0, 1).is_none());
         assert_eq!(memo.entries().count(), 0);
     }
 }

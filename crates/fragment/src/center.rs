@@ -2,7 +2,7 @@
 //!
 //! Centers are "gravity points in the graph, very much like spiders in a
 //! web", ranked by a truncated status score (a variation of Hoede's
-//! status score, ref [9]):
+//! status score, ref \[9\]):
 //!
 //! ```text
 //! score(i) = grade(i) + a·Σ nb(j,1) + a²·Σ nb(j,2) + a³·Σ nb(j,3)

@@ -68,7 +68,7 @@ impl FragmentationGraph {
     /// when G' is acyclic; otherwise every chain must be evaluated
     /// independently (§2.1). The caps keep pathological fragmentation
     /// graphs from exploding — the paper's prescribed escape hatch for
-    /// that case is Parallel Hierarchical Evaluation (ref [12]).
+    /// that case is Parallel Hierarchical Evaluation (ref \[12\]).
     pub fn chains(
         &self,
         from: FragmentId,

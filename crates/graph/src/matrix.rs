@@ -14,7 +14,7 @@ use crate::CsrGraph;
 /// A square 0/1 adjacency matrix with bitset rows.
 ///
 /// As in the paper, `M[i][j] = 1` iff a direct connection `i -> j` exists,
-/// and the diagonal is set to 1 on construction ("Each entry M[i,i] is
+/// and the diagonal is set to 1 on construction ("Each entry `M[i,i]` is
 /// also made 1", §3.2).
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdjacencyMatrix {

@@ -8,7 +8,7 @@
 //! # ds-machine — a simulated shared-nothing multiprocessor database machine
 //!
 //! The paper's experiments were destined for PRISMA/DB, a multi-processor
-//! main-memory database machine (§5, refs [4], [14], [20]). This crate is
+//! main-memory database machine (§5, refs \[4\], \[14\], \[20\]). This crate is
 //! the stand-in documented in DESIGN.md: a coordinator plus one *site* per
 //! fragment, each site an OS thread owning its fragment and complementary
 //! information, communicating exclusively through message channels.
@@ -19,6 +19,11 @@
 //! copy of its own fragment and shortcut table from that snapshot and
 //! never sees anything else. Updates maintain the snapshot and ship one
 //! `Delta` message to each site it reports as touched.
+//!
+//! Queries go through the shared batch driver, which reads interior
+//! segments from the snapshot's transit memos and fills them from the
+//! sites' answers: sites get messages only for endpoint subqueries and
+//! memo misses.
 //!
 //! The simulation preserves the property the disconnection set approach
 //! is designed around — *no communication during phase one* — and makes
@@ -277,7 +282,7 @@ impl Machine {
         };
         let sink = obs.as_ref().map(|_| &mut eval_traces);
         let batch: BatchAnswer =
-            run_batch_bounded(snap.planner(), &mut eval, requests, &traces, sink, &[]).into();
+            run_batch_bounded(snap, &mut eval, requests, &traces, sink, &[]).into();
         if let Some(&site) = failed.iter().next() {
             for &s in &failed {
                 self.respawn_site(s);
@@ -321,13 +326,12 @@ impl Machine {
         Ok(batch)
     }
 
-    /// Single-request [`Machine::try_query_batch`].
+    /// Single-request [`Machine::try_query_batch`], erring for an endpoint
+    /// in no fragment like `EngineSnapshot::try_shortest_path`.
     pub fn try_shortest_path(&mut self, x: NodeId, y: NodeId) -> Result<QueryAnswer, ClosureError> {
+        self.snap.check_endpoints(x, y)?;
         let mut batch = self.try_query_batch(&[QueryRequest::new(x, y)])?;
-        match batch.answers.pop() {
-            Some(a) => Ok(a),
-            None => unreachable!("run_batch_bounded returns one answer per request"),
-        }
+        Ok(batch.answers.pop().unwrap_or_else(QueryAnswer::unreachable))
     }
 }
 
@@ -364,9 +368,9 @@ fn spawn_site(
 ///
 /// Failure handling: a send error (the site's request channel is closed
 /// because its thread died) or a response timeout marks the suspect
-/// site(s) in `failed` and stops evaluating — the remaining segments come
-/// back empty and the coordinator discards the whole batch, redeploys the
-/// failed sites and reports [`ClosureError::SiteUnavailable`]. Responses
+/// site(s) in `failed` and returns `None` for this and every later call,
+/// so nothing reaches the transit memos; the coordinator discards the
+/// whole batch, redeploys the failed sites and reports [`ClosureError::SiteUnavailable`]. Responses
 /// whose tag matches no pending subquery are late answers from a
 /// previously failed round (a slow-not-dead site that was replaced) and
 /// are dropped.
@@ -399,82 +403,79 @@ impl SiteEvaluator for ChannelEval<'_> {
         chain: &ChainPlan,
         positions: &[usize],
         qstats: &mut QueryStats,
-    ) -> Vec<Relation<PathTuple>> {
-        let mut segments: Vec<Option<Relation<PathTuple>>> = vec![None; positions.len()];
+    ) -> Option<Vec<Relation<PathTuple>>> {
         // Once any site has failed the batch is doomed: skip dispatching.
-        if self.failed.is_empty() {
-            // Dispatch phase: one message per site subquery.
-            let mut pending: HashMap<u64, (usize, usize)> = HashMap::with_capacity(positions.len());
-            for (slot, &pos) in positions.iter().enumerate() {
-                let q = &chain.queries[pos];
-                let tag = *self.next_tag;
-                *self.next_tag += 1;
-                let req = SiteRequest::SubQuery {
-                    tag,
-                    trace: self.current_trace,
-                    sources: q.sources.clone(),
-                    targets: q.targets.clone(),
-                };
-                if self.senders[q.site].send(req).is_err() {
-                    self.failed.insert(q.site);
-                    break;
-                }
-                self.counters.messages_sent.inc();
-                pending.insert(tag, (slot, q.site));
+        if !self.failed.is_empty() {
+            return None;
+        }
+        let mut segments: Vec<Option<Relation<PathTuple>>> = vec![None; positions.len()];
+        // Dispatch phase: one message per site subquery.
+        let mut pending: HashMap<u64, (usize, usize)> = HashMap::with_capacity(positions.len());
+        for (slot, &pos) in positions.iter().enumerate() {
+            let q = &chain.queries[pos];
+            let tag = *self.next_tag;
+            *self.next_tag += 1;
+            let req = SiteRequest::SubQuery {
+                tag,
+                trace: self.current_trace,
+                sources: q.sources.clone(),
+                targets: q.targets.clone(),
+            };
+            if self.senders[q.site].send(req).is_err() {
+                self.failed.insert(q.site);
+                return None;
             }
-            // Collect phase: the final joins' communication.
-            while !pending.is_empty() && self.failed.is_empty() {
-                match self.responses.recv_timeout(self.recv_timeout) {
-                    Ok(SiteResponse::SubQuery(resp)) => {
-                        let Some((slot, _)) = pending.remove(&resp.tag) else {
-                            self.counters.stale_responses.inc();
-                            continue;
-                        };
-                        self.counters.messages_received.inc();
-                        self.counters.tuples_shipped.add(resp.rows.len() as u64);
-                        let s = &mut self.sites[resp.site];
-                        s.subqueries += 1;
-                        s.busy += resp.busy;
-                        s.tuples_produced += resp.rows.len();
-                        qstats.site_queries += 1;
-                        qstats.tuples_shipped += resp.rows.len();
-                        qstats.total_site_busy += resp.busy;
-                        qstats.max_site_busy = qstats.max_site_busy.max(resp.busy);
-                        if let Some(ctx) = &mut self.trace_ctx {
-                            if resp.trace.is_traced() {
-                                let busy_ns = resp.busy.as_nanos() as u64;
-                                let now = ctx.tracer.now_ns();
-                                ctx.spans.push(SpanRecord::new(
-                                    resp.trace,
-                                    Stage::SitePhaseOne {
-                                        site: resp.site as u32,
-                                    },
-                                    now.saturating_sub(busy_ns),
-                                    busy_ns,
-                                ));
-                            }
-                        }
-                        segments[slot] = Some(Relation::from_rows("segment", resp.rows));
-                    }
-                    Ok(SiteResponse::DeltaApplied { .. }) => {
-                        // Late ack from a failed update round.
+            self.counters.messages_sent.inc();
+            pending.insert(tag, (slot, q.site));
+        }
+        // Collect phase: the final joins' communication.
+        while !pending.is_empty() {
+            match self.responses.recv_timeout(self.recv_timeout) {
+                Ok(SiteResponse::SubQuery(resp)) => {
+                    let Some((slot, _)) = pending.remove(&resp.tag) else {
                         self.counters.stale_responses.inc();
+                        continue;
+                    };
+                    self.counters.messages_received.inc();
+                    self.counters.tuples_shipped.add(resp.rows.len() as u64);
+                    let s = &mut self.sites[resp.site];
+                    s.subqueries += 1;
+                    s.busy += resp.busy;
+                    s.tuples_produced += resp.rows.len();
+                    qstats.site_queries += 1;
+                    qstats.tuples_shipped += resp.rows.len();
+                    qstats.total_site_busy += resp.busy;
+                    qstats.max_site_busy = qstats.max_site_busy.max(resp.busy);
+                    if let Some(ctx) = &mut self.trace_ctx {
+                        if resp.trace.is_traced() {
+                            let busy_ns = resp.busy.as_nanos() as u64;
+                            let now = ctx.tracer.now_ns();
+                            ctx.spans.push(SpanRecord::new(
+                                resp.trace,
+                                Stage::SitePhaseOne {
+                                    site: resp.site as u32,
+                                },
+                                now.saturating_sub(busy_ns),
+                                busy_ns,
+                            ));
+                        }
                     }
-                    Err(_) => {
-                        // Timed out: every site still owing an answer is
-                        // suspect. (The channel cannot disconnect — the
-                        // coordinator retains a sender clone.)
-                        self.failed.extend(pending.values().map(|&(_, site)| site));
-                    }
+                    segments[slot] = Some(Relation::from_rows("border", resp.rows));
+                }
+                Ok(SiteResponse::DeltaApplied { .. }) => {
+                    // Late ack from a failed update round.
+                    self.counters.stale_responses.inc();
+                }
+                Err(_) => {
+                    // Timed out: every site still owing an answer is
+                    // suspect. (The channel cannot disconnect — the
+                    // coordinator retains a sender clone.)
+                    self.failed.extend(pending.values().map(|&(_, site)| site));
+                    return None;
                 }
             }
         }
-        // On failure the missing segments come back empty; the batch's
-        // answers are discarded by the coordinator.
-        segments
-            .into_iter()
-            .map(|s| s.unwrap_or_else(|| Relation::from_rows("segment", Vec::new())))
-            .collect()
+        segments.into_iter().collect()
     }
 
     fn begin_query(&mut self, trace: TraceId) {
@@ -499,10 +500,7 @@ impl TcEngine for Machine {
     /// [`TcEngine::query_batch`].
     fn shortest_path(&mut self, x: NodeId, y: NodeId) -> QueryAnswer {
         let mut batch = self.query_batch(&[QueryRequest::new(x, y)]);
-        match batch.answers.pop() {
-            Some(a) => a,
-            None => unreachable!("run_batch_bounded returns one answer per request"),
-        }
+        batch.answers.pop().unwrap_or_else(QueryAnswer::unreachable)
     }
 
     /// Sites ship only cost tuples, never concrete paths — route
@@ -734,7 +732,7 @@ mod tests {
             batch.stats
         );
         assert!(
-            batch.stats.segments_reused > 0,
+            batch.stats.segments_memoized > 0,
             "interior segments shared: {:?}",
             batch.stats
         );
@@ -965,6 +963,57 @@ mod tests {
             m.try_shortest_path(n(0), n(35)).unwrap().cost,
             baseline::shortest_path_cost(&csr, n(0), n(35)),
         );
+        m.shutdown();
+    }
+
+    /// Every filled transit-memo entry of the coordinator snapshot equals
+    /// a fresh sweep of the segment on the snapshot's augmented graph.
+    /// Returns the number of entries checked.
+    fn assert_memos_exact(m: &Machine) -> usize {
+        let snap = m.snapshot();
+        let planner = snap.planner();
+        let mut checked = 0;
+        for f in 0..snap.site_count() {
+            for (prev, next, memo) in snap.transit_handle(f).entries() {
+                let sweep = ds_closure::local::border_matrix(
+                    snap.augmented_handle(f),
+                    planner.ds_between(prev, f),
+                    planner.ds_between(f, next),
+                );
+                assert_eq!(*memo, sweep, "site {f} segment {prev}->{f}->{next}");
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn failed_batch_never_reaches_the_memo() {
+        // The middle site dies on its first message: the interior
+        // subquery of the corner-to-corner chain. The endpoint sites
+        // answer, but the failed evaluation must fill nothing.
+        let (g, mut m) =
+            machine_with_fault(FaultPlan::new().panic_at(FaultPoint::MachineSite { site: 1 }, 1));
+        let requests = [
+            QueryRequest::new(n(0), n(35)),
+            QueryRequest::new(n(9), n(26)),
+        ];
+        let err = m.try_query_batch(&requests).unwrap_err();
+        assert_eq!(err, ClosureError::SiteUnavailable { site: 1 });
+        let snap = m.snapshot();
+        assert!((0..3).all(|f| snap.transit_handle(f).entries().count() == 0));
+        // The retry runs on the redeployed site, fills the memo with what
+        // a sweep computes, and answers like Dijkstra.
+        let csr = g.closure_graph();
+        let batch = m.try_query_batch(&requests).unwrap();
+        for (req, cost) in requests.iter().zip(batch.costs()) {
+            assert_eq!(
+                cost,
+                baseline::shortest_path_cost(&csr, req.source, req.target)
+            );
+        }
+        assert_eq!(batch.stats.segments_memoized, 1);
+        assert_eq!(assert_memos_exact(&m), 1);
         m.shutdown();
     }
 

@@ -1,5 +1,5 @@
 //! Machine-level accounting: the quantities the PRISMA experiments
-//! (ref [14]) would have measured.
+//! (ref \[14\]) would have measured.
 
 use std::fmt;
 use std::time::Duration;

@@ -263,7 +263,7 @@ const ADAPTIVE_RECOMPUTE_EVERY: u64 = 64;
 /// With a fixed threshold (`ObsConfig::slow_threshold`), every request
 /// at or above it is logged. With the adaptive default, the threshold
 /// tracks the interpolated p999 of the request-latency histogram,
-/// recomputed every [`ADAPTIVE_RECOMPUTE_EVERY`] requests; until the
+/// recomputed every `ADAPTIVE_RECOMPUTE_EVERY` requests; until the
 /// first recomputation nothing is logged (no stable tail estimate yet).
 #[derive(Debug)]
 pub struct SlowQueryLog {

@@ -1090,7 +1090,6 @@ fn add_batch_stats(into: &mut BatchStats, from: &BatchStats) {
     into.plans_computed += from.plans_computed;
     into.plans_reused += from.plans_reused;
     into.segments_computed += from.segments_computed;
-    into.segments_reused += from.segments_reused;
     into.segments_memoized += from.segments_memoized;
 }
 
@@ -1314,9 +1313,9 @@ fn process_batch(
 
     // Group the remaining misses by fragment pair. The sharing itself
     // is order-independent (the batch kernel caches chain plans per
-    // fragment pair and interior segments per chain for the whole
-    // call, and interior segments already swept by any worker come
-    // from the snapshot's transit memos); the sort makes same-pair
+    // fragment pair for the whole call, and interior segments already
+    // swept by any worker come from the snapshot's transit memos); the
+    // sort makes same-pair
     // queries evaluate back-to-back while their interior relations are
     // CPU-cache-hot, and makes a batch's evaluation order independent
     // of client arrival interleaving.

@@ -3,6 +3,8 @@
 //! paper's communication story, and its batch path must amortize
 //! planning exactly like the inline backend's.
 
+use std::collections::BTreeSet;
+
 use discset::closure::baseline;
 use discset::closure::engine::{DisconnectionSetEngine, EngineConfig};
 use discset::fragment::{semantic, CrossingPolicy};
@@ -258,8 +260,11 @@ fn stats_accumulate_across_updates() {
 
 #[test]
 fn batch_saves_messages_over_single_queries() {
-    // The communication argument for query_batch: interior segments are
-    // shipped once per chain, not once per query.
+    // The communication argument for the transit memo: an interior
+    // segment `DS(f(i-1), fi) -> DS(fi, f(i+1))` is shipped once per
+    // distinct (prev, site, next) key, not once per query, whether the
+    // queries arrive one by one or as one batch. Only the endpoint
+    // subqueries are sent per query.
     let (csr, frag) = setup(4, 5);
     let n = csr.node_count() as u32;
     let requests: Vec<QueryRequest> = (0..12u32)
@@ -267,15 +272,40 @@ fn batch_saves_messages_over_single_queries() {
         .collect();
 
     let mut singles = Machine::deploy(csr.clone(), frag.clone(), true).unwrap();
+    let (mut endpoint_subqueries, mut chain_lengths) = (0, 0);
+    let mut interior_keys = BTreeSet::new();
+    let snap = singles.snapshot();
     for req in &requests {
-        singles.shortest_path(req.source, req.target);
+        let plan = snap.planner().plan(req.source, req.target).unwrap();
+        for chain in &plan.chains {
+            let l = chain.fragments.len();
+            chain_lengths += l;
+            endpoint_subqueries += l.min(2);
+            interior_keys.extend(chain.fragments.windows(3).map(|w| (w[0], w[1], w[2])));
+        }
     }
-    let singles_sent = singles.stats().messages_sent;
+    let expected = endpoint_subqueries + interior_keys.len();
+    assert!(!interior_keys.is_empty(), "the chains have interior sites");
+    assert!(
+        expected < chain_lengths,
+        "{expected} vs {chain_lengths} subqueries"
+    );
+
+    for req in &requests {
+        assert_eq!(
+            singles.shortest_path(req.source, req.target).cost,
+            baseline::shortest_path_cost(&csr, req.source, req.target),
+            "single {}->{}",
+            req.source,
+            req.target
+        );
+    }
+    assert_eq!(singles.stats().messages_sent, expected, "singles");
     singles.shutdown();
 
     let mut batched = Machine::deploy(csr.clone(), frag, true).unwrap();
     let batch = batched.query_batch(&requests);
-    let batched_sent = batched.stats().messages_sent;
+    assert_eq!(batched.stats().messages_sent, expected, "batch");
     for (req, ans) in requests.iter().zip(&batch.answers) {
         assert_eq!(
             ans.cost,
@@ -285,11 +315,44 @@ fn batch_saves_messages_over_single_queries() {
             req.target
         );
     }
-    assert!(
-        batched_sent < singles_sent,
-        "batch must ship fewer messages: {batched_sent} vs {singles_sent}"
-    );
     assert!(batch.stats.plans_reused > 0, "{:?}", batch.stats);
-    assert!(batch.stats.segments_reused > 0, "{:?}", batch.stats);
+    assert_eq!(
+        batch.stats.segments_memoized,
+        chain_lengths - expected,
+        "{:?}",
+        batch.stats
+    );
     batched.shutdown();
+}
+
+#[test]
+fn strict_single_queries_reject_endpoints_in_no_fragment_on_both_backends() {
+    use discset::closure::ClosureError;
+    use discset::graph::ScratchDijkstra;
+
+    let (csr, frag) = setup(3, 2);
+    let n = csr.node_count() as u32;
+    let mut machine = Machine::deploy(csr.clone(), frag, true).unwrap();
+    let snap = machine.snapshot();
+    let mut scratch = ScratchDijkstra::new();
+    let beyond = NodeId(n + 5);
+    for (x, y) in [(beyond, NodeId(0)), (NodeId(0), beyond)] {
+        let want = Err(ClosureError::NodeNotInAnyFragment(beyond));
+        let inline = snap.try_shortest_path(x, y, &mut scratch).map(|a| a.cost);
+        assert_eq!(inline, want, "snapshot {x}->{y}");
+        let sites = machine.try_shortest_path(x, y).map(|a| a.cost);
+        assert_eq!(sites, want, "machine {x}->{y}");
+    }
+    assert_eq!(machine.stats().messages_sent, 0, "rejected before dispatch");
+    // The same node is its own answer on both, fragment or not.
+    assert_eq!(
+        snap.try_shortest_path(beyond, beyond, &mut scratch)
+            .map(|a| a.cost),
+        Ok(Some(0))
+    );
+    assert_eq!(
+        machine.try_shortest_path(beyond, beyond).map(|a| a.cost),
+        Ok(Some(0))
+    );
+    machine.shutdown();
 }

@@ -1335,6 +1335,197 @@ fn transit_memos_equal_sweeps_and_follow_updates() {
     assert!(crossings > 0, "no crossing removal was exercised");
 }
 
+/// The site-threads twin of `transit_memos_equal_sweeps_and_follow_updates`:
+/// the machine fills its coordinator snapshot's transit memos from the
+/// sites' answers. Over a general graph, a transportation chain and a
+/// cyclic ring, every answer equals the Dijkstra oracle and every filled
+/// entry equals a fresh sweep on the snapshot's augmented graph. Through
+/// 8 seeded inserts and removes plus one crossing removal (full
+/// recompute) applied by `Machine::update`, exactly the sites whose
+/// augmented graph was replaced get a fresh, empty memo, every other
+/// site's memo stays `Arc::ptr_eq` with the previous snapshot's, and
+/// answers and memos stay exact.
+#[test]
+fn machine_transit_memos_equal_sweeps_and_follow_updates() {
+    use discset::closure::ComplementaryScope;
+    use discset::fragment::{semantic, CrossingPolicy};
+    use discset::gen::ClusterTopology;
+    use discset::machine::Machine;
+    use discset::NetworkUpdate;
+    use std::sync::Arc;
+
+    let (mut memo_entries, mut crossings) = (0, 0);
+    for seed in 0..3u64 {
+        let general = generate_general(
+            &GeneralConfig {
+                nodes: 28,
+                target_edges: 64,
+                ..Default::default()
+            },
+            seed,
+        );
+        let transport = |topology| {
+            generate_transportation(
+                &TransportationConfig {
+                    clusters: 4,
+                    nodes_per_cluster: 8,
+                    target_edges_per_cluster: 18,
+                    topology,
+                    ..TransportationConfig::default()
+                },
+                seed,
+            )
+        };
+        let chain = transport(ClusterTopology::Chain);
+        let ring = transport(ClusterTopology::Ring);
+        let by_labels = |g: &discset::gen::GeneratedGraph| {
+            semantic::by_labels(
+                g.nodes,
+                &g.connections,
+                g.cluster_of.as_ref().unwrap(),
+                4,
+                CrossingPolicy::LowerBlock,
+            )
+            .unwrap()
+        };
+        let linear = linear_sweep(
+            &general.edge_list(),
+            &LinearConfig {
+                fragments: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .fragmentation;
+        // The per-DS scope is exact only on loosely connected
+        // fragmentations, so the cyclic ring runs the per-border scope.
+        let cases = [
+            (
+                "general/linear",
+                &general,
+                linear,
+                ComplementaryScope::PerDisconnectionSet,
+            ),
+            (
+                "chain/labels",
+                &chain,
+                by_labels(&chain),
+                ComplementaryScope::PerDisconnectionSet,
+            ),
+            (
+                "ring/labels",
+                &ring,
+                by_labels(&ring),
+                ComplementaryScope::PerFragmentBorder,
+            ),
+        ];
+        for (name, g, frag, scope) in cases {
+            let label = format!("seed {seed} {name}");
+            let cfg = EngineConfig {
+                scope,
+                ..EngineConfig::default()
+            };
+            let mut m = Machine::deploy_with_config(g.closure_graph(), frag, true, cfg).unwrap();
+            let sites = m.site_count();
+            let mut check = |m: &mut Machine, pairs: &[(NodeId, NodeId)], label: &str| {
+                let snap = m.snapshot();
+                let requests: Vec<QueryRequest> = pairs.iter().map(|&p| p.into()).collect();
+                let batch = m.try_query_batch(&requests).unwrap();
+                for (&(x, y), got) in pairs.iter().zip(batch.costs()) {
+                    let want = baseline::shortest_path_cost(snap.graph(), x, y);
+                    assert_eq!(got, want, "{label}: batch {x}->{y}");
+                }
+                memo_entries += assert_memos_exact(&m.snapshot(), label);
+            };
+            let all: Vec<(NodeId, NodeId)> = (0..g.nodes as u32)
+                .flat_map(|x| (0..g.nodes as u32).map(move |y| (NodeId(x), NodeId(y))))
+                .collect();
+            check(&mut m, &all, &label);
+
+            let mut rng = StdRng::seed_from_u64(0xFA11 ^ seed << 8 ^ sites as u64);
+            let (mut applied, mut crossed) = (0, false);
+            for step in 0..200 {
+                if applied >= 8 && crossed {
+                    break;
+                }
+                // One removal of a crossing edge (both endpoints border
+                // nodes) once the random updates are in; else random.
+                let crossing = (applied >= 8).then(|| {
+                    let frag = m.fragmentation();
+                    let border = |v| frag.fragments_of_node(v).len() >= 2;
+                    frag.fragments().iter().find_map(|f| {
+                        f.edges()
+                            .iter()
+                            .find(|e| border(e.src) && border(e.dst))
+                            .map(|e| NetworkUpdate::Remove {
+                                src: e.src,
+                                dst: e.dst,
+                                owner: f.id(),
+                            })
+                    })
+                });
+                let update = match crossing {
+                    Some(Some(u)) => u,
+                    Some(None) => break, // no crossing edge in this fragmentation
+                    None => match arb_update(&mut rng, m.fragmentation()) {
+                        Some(u) => u,
+                        None => continue,
+                    },
+                };
+                let prev = m.snapshot();
+                let Ok(report) = m.update(&update) else {
+                    continue;
+                };
+                if report.sites_touched == 0 {
+                    continue;
+                }
+                if crossing.is_some() {
+                    assert!(
+                        report.full_recompute,
+                        "{label}: crossing removal recomputes"
+                    );
+                    crossed = true;
+                    crossings += 1;
+                } else {
+                    applied += 1;
+                }
+                let step_label = format!("{label} step {step} {update:?}");
+                let next = m.snapshot();
+                let mut touched = 0;
+                for f in 0..sites {
+                    let replaced = !Arc::ptr_eq(prev.augmented_handle(f), next.augmented_handle(f));
+                    let shared = Arc::ptr_eq(prev.transit_handle(f), next.transit_handle(f));
+                    if replaced {
+                        touched += 1;
+                        assert!(!shared, "{step_label}: touched site {f} keeps its memo");
+                        assert_eq!(
+                            next.transit_handle(f).entries().count(),
+                            0,
+                            "{step_label}: touched site {f}'s memo is not fresh"
+                        );
+                    } else {
+                        assert!(shared, "{step_label}: untouched site {f} lost its memo");
+                    }
+                }
+                assert_eq!(touched, report.sites_touched, "{step_label}");
+                let pairs: Vec<(NodeId, NodeId)> = (0..40)
+                    .map(|_| {
+                        (
+                            NodeId(rng.gen_index(g.nodes) as u32),
+                            NodeId(rng.gen_index(g.nodes) as u32),
+                        )
+                    })
+                    .collect();
+                check(&mut m, &pairs, &step_label);
+            }
+            assert!(applied >= 8, "{label}: not enough applicable updates");
+            m.shutdown();
+        }
+    }
+    assert!(memo_entries > 0, "no memo entry was ever filled");
+    assert!(crossings > 0, "no crossing removal was exercised");
+}
+
 /// Complementary shortcut costs obey the triangle inequality with the
 /// global metric (they ARE global distances).
 #[test]

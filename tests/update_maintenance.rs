@@ -271,9 +271,12 @@ fn non_fallback_sequences_never_recompute() {
 
 #[test]
 fn batch_stats_amortization_exact_counts() {
-    // Three cross-line queries share one fragment pair and one interior
-    // segment: 1 plan computed + 2 reused, 7 segments computed (3 + 2 +
-    // 2) + 2 reused, amortization (2 + 2) / (3 + 9) = 1/3.
+    // Three cross-line queries share one fragment pair and the one
+    // interior segment (site 1, entered from fragment 0, left towards
+    // fragment 2): 1 plan computed + 2 reused; 9 segments (3 per query),
+    // of which the first query evaluates its interior one into the memo
+    // and the other two read it back: 2 memoized. Amortization
+    // (2 + 2) / (1 + 2 + 9) = 1/3.
     for mut sys in both_backends(7, three_fragment_line()) {
         let name = sys.backend_name();
         let requests: Vec<QueryRequest> = [(0u32, 6u32), (1, 5), (0, 5)]
@@ -288,25 +291,44 @@ fn batch_stats_amortization_exact_counts() {
         assert_eq!(s.queries, 3, "{name}");
         assert_eq!(s.plans_computed, 1, "{name}");
         assert_eq!(s.plans_reused, 2, "{name}");
-        assert_eq!(s.segments_computed, 7, "{name}");
-        assert_eq!(s.segments_reused, 2, "{name}");
+        assert_eq!(s.segments_computed, 9, "{name}");
+        assert_eq!(s.segments_memoized, 2, "{name}");
         assert!(
             (s.amortization() - 1.0 / 3.0).abs() < 1e-12,
             "{name}: amortization {}",
             s.amortization()
         );
+        // A memoized segment still counts as a site query of its answer.
+        for a in &batch.answers {
+            assert_eq!(a.stats.site_queries, 3, "{name}");
+        }
 
-        // A single query shares nothing: amortization is exactly 0.
-        let single = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
-        assert_eq!(single.stats.plans_computed, 1, "{name}");
-        assert_eq!(single.stats.plans_reused, 0, "{name}");
-        assert_eq!(single.stats.segments_computed, 3, "{name}");
-        assert_eq!(single.stats.segments_reused, 0, "{name}");
-        assert_eq!(single.stats.amortization(), 0.0, "{name}");
+        // A single query on the warm memo reads the interior segment:
+        // (0 + 1) / (1 + 0 + 3) = 1/4.
+        let warm = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
+        assert_eq!(warm.answers[0].cost, Some(6), "{name}");
+        assert_eq!(warm.stats.plans_computed, 1, "{name}");
+        assert_eq!(warm.stats.plans_reused, 0, "{name}");
+        assert_eq!(warm.stats.segments_computed, 3, "{name}");
+        assert_eq!(warm.stats.segments_memoized, 1, "{name}");
+        assert_eq!(warm.stats.amortization(), 0.25, "{name}");
 
         // An empty batch divides nothing by nothing and reports 0.
         let empty = sys.query_batch(&[]);
         assert_eq!(empty.stats.amortization(), 0.0, "{name}");
         assert!(empty.answers.is_empty(), "{name}");
+    }
+
+    // A single query on a fresh system shares nothing: amortization is
+    // exactly 0.
+    for mut sys in both_backends(7, three_fragment_line()) {
+        let name = sys.backend_name();
+        let single = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
+        assert_eq!(single.answers[0].cost, Some(6), "{name}");
+        assert_eq!(single.stats.plans_computed, 1, "{name}");
+        assert_eq!(single.stats.plans_reused, 0, "{name}");
+        assert_eq!(single.stats.segments_computed, 3, "{name}");
+        assert_eq!(single.stats.segments_memoized, 0, "{name}");
+        assert_eq!(single.stats.amortization(), 0.0, "{name}");
     }
 }
